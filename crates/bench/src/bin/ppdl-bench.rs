@@ -1,7 +1,6 @@
 //! The experiment driver: `ppdl-bench run <name> [flags]` dispatches
 //! any registered paper table/figure reproduction; `ppdl-bench list`
-//! shows the registry. Legacy per-table binaries are aliases for
-//! `ppdl-bench run <their name>`.
+//! shows the registry.
 
 use ppdl_bench::experiments::{self, REGISTRY};
 use ppdl_bench::harness::{help_text, Options, ParseError};

@@ -4,15 +4,14 @@
 //! Each experiment is a function from [`Options`] (one parser, one
 //! `--help`) and an optional [`ArtifactCache`] to a [`RunOutput`]: a
 //! structured [`RunManifest`] plus the human-readable report text. The
-//! `ppdl-bench` binary dispatches `run <name>` through [`find`]; the
-//! legacy per-table binaries are thin aliases over [`run_cli`].
+//! `ppdl-bench` binary dispatches `run <name>` through [`find`].
 
 use std::time::Instant;
 
 use ppdl_core::pipeline::{ArtifactCache, RunManifest};
 use ppdl_core::DlFlowConfig;
 
-use crate::harness::{help_text, Options, ParseError};
+use crate::harness::Options;
 
 mod ablation_depth;
 mod ablation_optimizer;
@@ -47,8 +46,7 @@ pub type RunFn = fn(&Options, Option<&ArtifactCache>) -> Result<RunOutput, DynEr
 
 /// One registry entry.
 pub struct ExperimentDef {
-    /// Canonical name (`ppdl-bench run <name>`; also the legacy binary
-    /// name).
+    /// Canonical name (`ppdl-bench run <name>`).
     pub name: &'static str,
     /// Shorthand aliases (`table3` for `table3_worst_ir`, …).
     pub aliases: &'static [&'static str],
@@ -267,36 +265,6 @@ pub fn emit(opts: &Options, out: &RunOutput) {
         print!("{}", out.manifest.to_json());
     } else {
         print!("{}", out.report);
-    }
-}
-
-/// The whole main-function body of a legacy alias binary: parse the
-/// shared flags with the experiment's default scale, run it, emit, and
-/// exit non-zero on failure.
-pub fn run_cli(name: &str) {
-    let def = find(name).unwrap_or_else(|| {
-        eprintln!("error: unknown experiment '{name}'");
-        std::process::exit(2);
-    });
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match Options::parse(&args, def.default_scale) {
-        Ok(opts) => opts,
-        Err(ParseError::Help) => {
-            println!("{}: {}\n", def.name, def.title);
-            print!("{}", help_text(def.default_scale));
-            std::process::exit(0);
-        }
-        Err(ParseError::Bad(msg)) => {
-            eprintln!("error: {msg}\n{}", help_text(def.default_scale));
-            std::process::exit(2);
-        }
-    };
-    match execute(def, &opts) {
-        Ok(out) => emit(&opts, &out),
-        Err(e) => {
-            eprintln!("{}: {e}", def.name);
-            std::process::exit(1);
-        }
     }
 }
 

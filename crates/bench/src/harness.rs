@@ -1,7 +1,6 @@
-//! Shared plumbing for the experiment registry and its binaries.
+//! Shared plumbing for the experiment registry.
 //!
-//! Every experiment — whether invoked as `ppdl-bench run <name>` or
-//! through one of the legacy per-table binaries — parses the same
+//! Every experiment run as `ppdl-bench run <name>` parses the same
 //! [`Options`] with the same flags and the same `--help` text, runs
 //! against the same artifact cache layout, and writes the same
 //! [`RunManifest`](ppdl_core::pipeline::RunManifest) JSON.

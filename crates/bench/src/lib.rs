@@ -15,8 +15,7 @@
 //!   manifest in CI (`ppdl-bench baseline`).
 //!
 //! The `ppdl-bench` binary dispatches them (`ppdl-bench run <name>
-//! [--json] [--no-cache]`, `ppdl-bench list`); the per-table binaries
-//! in `src/bin/` remain as thin aliases. The Criterion benches in
+//! [--json] [--no-cache]`, `ppdl-bench list`). The Criterion benches in
 //! `benches/` time the kernels and the end-to-end convergence
 //! comparison.
 //!

@@ -9,7 +9,7 @@
 
 use ppdl_netlist::{Orientation, SyntheticBenchmark};
 use ppdl_nn::{
-    metrics, Activation, Dataset, Matrix, Mlp, MlpBuilder, StandardScaler, TrainConfig,
+    metrics, Activation, Dataset, Matrix, MlpBuilder, Network, StandardScaler, TrainConfig,
     TrainReport, Trainer,
 };
 
@@ -135,7 +135,7 @@ impl TrainSummary {
 
 #[derive(Debug, Clone)]
 pub(crate) struct DirectionModel {
-    pub(crate) model: Mlp,
+    pub(crate) model: Network,
     pub(crate) feature_scaler: StandardScaler,
     pub(crate) target_scaler: StandardScaler,
 }
@@ -256,7 +256,7 @@ impl WidthPredictor {
 
     /// The trained per-direction networks, `(vertical, horizontal)`.
     #[must_use]
-    pub fn models(&self) -> (&Mlp, &Mlp) {
+    pub fn models(&self) -> (&Network, &Network) {
         (&self.vertical.model, &self.horizontal.model)
     }
 
@@ -312,7 +312,7 @@ impl WidthPredictor {
             ("vertical", &self.vertical),
             ("horizontal", &self.horizontal),
         ] {
-            let input = m.model.input_dim();
+            let input = m.model.input_shape().len();
             if input != want {
                 return Err(CoreError::BundleMismatch {
                     detail: format!(
@@ -330,7 +330,7 @@ impl WidthPredictor {
                     ),
                 });
             }
-            let output = m.model.output_dim();
+            let output = m.model.output_shape().len();
             let target_len = m.target_scaler.means().len();
             if output != 1 || target_len != output {
                 return Err(CoreError::BundleMismatch {

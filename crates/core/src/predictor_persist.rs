@@ -5,7 +5,7 @@
 //! recommends), so the whole predictor — both direction models and all
 //! four scalers — serialises to one versioned text blob.
 
-use ppdl_nn::{Mlp, StandardScaler};
+use ppdl_nn::{Network, StandardScaler};
 
 use crate::predictor::DirectionModel;
 use crate::{CoreError, FeatureSet, WidthPredictor};
@@ -93,7 +93,7 @@ impl WidthPredictor {
                     break;
                 }
             }
-            let model = Mlp::from_text(&model_text)?;
+            let model = Network::from_text(&model_text)?;
             models.push((
                 tag,
                 DirectionModel {

@@ -13,7 +13,7 @@
 use ppdl_analysis::StaticAnalysis;
 use ppdl_core::{FeatureExtractor, IrPredictor, PredictorConfig, WidthPredictor};
 use ppdl_netlist::{IbmPgPreset, SyntheticBenchmark};
-use ppdl_nn::{Activation, Adam, Loss, Matrix, Mlp, MlpBuilder};
+use ppdl_nn::{Activation, Adam, Layer, Loss, Matrix, MlpBuilder, Network};
 use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
 use ppdl_solver::{set_par_threshold, set_threads};
 
@@ -71,7 +71,7 @@ fn training_on_ibmpg2_features_is_bitwise_stable() {
         0.3 * f[0] - 0.2 * f[1] + 5.0 * f[2]
     });
 
-    let train = |threads: usize| -> (Vec<f64>, Mlp) {
+    let train = |threads: usize| -> (Vec<f64>, Network) {
         with_threads(threads, || {
             let mut model = MlpBuilder::new(x.cols())
                 .hidden_stack(3, 16, Activation::Relu)
@@ -95,6 +95,9 @@ fn training_on_ibmpg2_features_is_bitwise_stable() {
         "loss trajectories must be bitwise identical"
     );
     for (la, lb) in model_one.layers().iter().zip(model_four.layers()) {
+        let (Layer::Dense(la), Layer::Dense(lb)) = (la, lb) else {
+            panic!("MlpBuilder builds dense layers only");
+        };
         for (a, b) in la.weights().as_slice().iter().zip(lb.weights().as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "weight differs: {a} vs {b}");
         }

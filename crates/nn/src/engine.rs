@@ -1,7 +1,5 @@
-//! The shared data-parallel minibatch engine.
-//!
-//! [`Mlp`](crate::Mlp) and [`Network`](crate::Network) drive the same
-//! forward/backward machinery: batches with at least
+//! The data-parallel minibatch engine behind
+//! [`Network`](crate::Network): batches with at least
 //! `2 * PAR_ROW_CHUNK` rows are decomposed into fixed
 //! [`PAR_ROW_CHUNK`]-row chunks and evaluated through the
 //! side-effect-free layer kernels, with chunk gradients reduced in
@@ -11,7 +9,7 @@
 
 use ppdl_solver::parallel::par_map_vec;
 
-use crate::{Loss, Matrix, NnError, Optimizer};
+use crate::{Layer, Loss, Matrix, NnError, Optimizer};
 
 /// Fixed row-chunk size for the data-parallel minibatch path.
 pub(crate) const PAR_ROW_CHUNK: usize = 256;
@@ -29,42 +27,9 @@ pub(crate) fn row_chunks(rows: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// The per-layer contract the engine drives. Every layer kind — dense
-/// or spatial — exposes a stateful path (whole-batch training), a
-/// side-effect-free pure path (the per-chunk data-parallel kernels),
-/// and the parameter hooks the optimizer protocol needs.
-///
-/// Parameterless layers (pools, flatten, upsample) return empty
-/// gradient tensors from [`backward_pure`](LayerOps::backward_pure)
-/// and never invoke the callback in
-/// [`update_parameters`](LayerOps::update_parameters).
-pub(crate) trait LayerOps: Sync {
-    /// Stateful forward pass, caching whatever `backward` needs.
-    fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix>;
-    /// Stateful backward pass consuming the `forward` caches.
-    fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix>;
-    /// Side-effect-free forward returning `(pre_activation, output)`.
-    fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)>;
-    /// Inference-only forward (no caching).
-    fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix>;
-    /// Side-effect-free backward for one chunk:
-    /// `(grad_input, grad_weights, grad_bias)`.
-    fn backward_pure(
-        &self,
-        input: &Matrix,
-        pre: &Matrix,
-        grad_output: &Matrix,
-    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)>;
-    /// Installs externally reduced gradients.
-    fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>);
-    /// Applies `f` to each (parameters, gradients) tensor pair —
-    /// weights first, then bias; never called for parameterless layers.
-    fn update_parameters(&mut self, f: impl FnMut(&mut [f64], &[f64]));
-}
-
 /// Inference over `layers`, chunking large batches through the pure
 /// kernels (row-independent, so chunking is invisible in the output).
-pub(crate) fn predict<L: LayerOps>(layers: &[L], x: &Matrix) -> crate::Result<Matrix> {
+pub(crate) fn predict(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
     if x.rows() >= 2 * PAR_ROW_CHUNK {
         return predict_chunked(layers, x);
     }
@@ -75,7 +40,7 @@ pub(crate) fn predict<L: LayerOps>(layers: &[L], x: &Matrix) -> crate::Result<Ma
     Ok(a)
 }
 
-fn predict_chunked<L: LayerOps>(layers: &[L], x: &Matrix) -> crate::Result<Matrix> {
+fn predict_chunked(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
     let chunks = row_chunks(x.rows());
     // ppdl-lint: allow(determinism/tainted-parallel) -- over-approximated edge: the untyped `act.apply(v)` in conv.rs resolves to Perturbation::apply by name; activation functions draw no RNG
     let parts = par_map_vec(&chunks, |_, r| -> crate::Result<Matrix> {
@@ -103,8 +68,8 @@ fn predict_chunked<L: LayerOps>(layers: &[L], x: &Matrix) -> crate::Result<Matri
 /// parameter-group protocol — per layer index `li`, weights are group
 /// `2 * li` (decayed) and bias `2 * li + 1` — and ends the optimizer
 /// step. Returns the pre-update batch loss (excluding the penalty).
-pub(crate) fn train_batch_regularized<L: LayerOps, O: Optimizer>(
-    layers: &mut [L],
+pub(crate) fn train_batch_regularized<O: Optimizer>(
+    layers: &mut [Layer],
     x: &Matrix,
     y: &Matrix,
     loss: Loss,
@@ -147,8 +112,8 @@ pub(crate) fn train_batch_regularized<L: LayerOps, O: Optimizer>(
 
 /// Classic whole-batch forward/backward, leaving gradients in the
 /// layers' caches. Returns the batch loss.
-pub(crate) fn train_step_full<L: LayerOps>(
-    layers: &mut [L],
+pub(crate) fn train_step_full(
+    layers: &mut [Layer],
     x: &Matrix,
     y: &Matrix,
     loss: Loss,
@@ -168,8 +133,8 @@ pub(crate) fn train_step_full<L: LayerOps>(
 /// Data-parallel forward/backward over fixed row chunks; installs the
 /// chunk-order-summed gradients into the layers and returns the batch
 /// loss (the chunk-weighted mean).
-pub(crate) fn train_step_chunked<L: LayerOps>(
-    layers: &mut [L],
+pub(crate) fn train_step_chunked(
+    layers: &mut [Layer],
     x: &Matrix,
     y: &Matrix,
     loss: Loss,

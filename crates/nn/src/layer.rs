@@ -151,13 +151,11 @@ impl DenseLayer {
     pub fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
         let mut pre = input.matmul_transpose(&self.weights)?;
         let act = self.activation;
-        let cols = pre.cols();
         for r in 0..pre.rows() {
             for (v, b) in pre.row_mut(r).iter_mut().zip(&self.bias) {
                 *v = act.apply(*v + b);
             }
         }
-        let _ = cols;
         Ok(pre)
     }
 
@@ -239,41 +237,6 @@ impl DenseLayer {
     #[must_use]
     pub fn parameter_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
-    }
-}
-
-impl crate::engine::LayerOps for DenseLayer {
-    fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-        DenseLayer::forward(self, input)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-        DenseLayer::backward(self, grad_output)
-    }
-
-    fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
-        DenseLayer::forward_pure(self, input)
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
-        DenseLayer::forward_inference(self, input)
-    }
-
-    fn backward_pure(
-        &self,
-        input: &Matrix,
-        pre: &Matrix,
-        grad_output: &Matrix,
-    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
-        DenseLayer::backward_pure(self, input, pre, grad_output)
-    }
-
-    fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>) {
-        DenseLayer::set_gradients(self, grad_weights, grad_bias);
-    }
-
-    fn update_parameters(&mut self, f: impl FnMut(&mut [f64], &[f64])) {
-        DenseLayer::update_parameters(self, f);
     }
 }
 

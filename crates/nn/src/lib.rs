@@ -9,13 +9,13 @@
 //!
 //! * [`Matrix`] — row-major dense tensors with the linear-algebra ops
 //!   backpropagation needs.
-//! * [`DenseLayer`] / [`Mlp`] — layers and the sequential network, with
-//!   manual forward/backward passes.
-//! * [`Network`] / [`NetworkBuilder`] — the general layer graph
-//!   composing [`Layer`] kinds ([`Conv2d`], [`MaxPool2d`],
-//!   [`AvgPool2d`], [`Upsample2d`], [`Flatten`], and dense) for the
-//!   spatial CNN / encoder-decoder surrogates, on the same
-//!   bitwise-deterministic parallel minibatch engine the MLP uses.
+//! * [`Network`] — the one model type: a sequential layer graph over
+//!   [`Layer`] kinds ([`DenseLayer`], [`Conv2d`], [`MaxPool2d`],
+//!   [`AvgPool2d`], [`Upsample2d`], [`Flatten`]) with manual
+//!   forward/backward passes on a bitwise-deterministic parallel
+//!   minibatch engine. [`MlpBuilder`] builds the paper's dense-only
+//!   MLP; [`NetworkBuilder`] builds the spatial CNN /
+//!   encoder-decoder surrogates.
 //! * [`Activation`] — ReLU / LeakyReLU / Tanh / Sigmoid / Identity.
 //! * [`Loss`] — MSE (the paper's choice), MAE, and Huber.
 //! * [`Optimizer`] implementations — [`Sgd`], [`Momentum`], [`RmsProp`],
@@ -27,7 +27,7 @@
 //! * [`metrics`] — MSE, MAE, and the r² score (Definition 1 of the
 //!   paper).
 //! * Model persistence in a versioned text format
-//!   ([`Mlp::to_text`] / [`Mlp::from_text`]).
+//!   ([`Network::to_text`] / [`Network::from_text`]).
 //!
 //! # Example
 //!
@@ -72,7 +72,6 @@ mod model;
 mod net_persist;
 mod network;
 mod optimizer;
-mod persist;
 mod tensor;
 mod trainer;
 
@@ -82,11 +81,11 @@ pub use data::{Dataset, StandardScaler};
 pub use error::NnError;
 pub use layer::DenseLayer;
 pub use loss::Loss;
-pub use model::{Mlp, MlpBuilder};
+pub use model::MlpBuilder;
 pub use network::{Layer, Network, NetworkBuilder, TensorShape};
 pub use optimizer::{Adam, Momentum, Optimizer, RmsProp, Sgd};
 pub use tensor::Matrix;
-pub use trainer::{TrainConfig, TrainReport, TrainableModel, Trainer};
+pub use trainer::{TrainConfig, TrainReport, Trainer};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -1,163 +1,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine;
-use crate::{Activation, DenseLayer, Loss, Matrix, NnError, Optimizer};
+use crate::{Activation, DenseLayer, Layer, Network, NnError, TensorShape};
 
-/// A sequential multilayer perceptron.
+/// Builder for the paper's dense-only [`Network`]: a multilayer
+/// perceptron over a flat feature row.
 ///
-/// Built with [`MlpBuilder`]; the paper's configuration is three inputs
-/// (`X`, `Y`, `Id`), ten hidden layers, and one output (`wᵢ`), trained
-/// with Adam on MSE.
-///
-/// # Example
-///
-/// ```
-/// use ppdl_nn::{Activation, Matrix, MlpBuilder};
-///
-/// let model = MlpBuilder::new(3)
-///     .hidden_stack(10, 24, Activation::Relu) // the paper's 10 hidden layers
-///     .output(1)
-///     .seed(1)
-///     .build()
-///     .unwrap();
-/// assert_eq!(model.layer_count(), 11);
-/// let y = model.predict(&Matrix::zeros(4, 3)).unwrap();
-/// assert_eq!(y.shape(), (4, 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Mlp {
-    layers: Vec<DenseLayer>,
-}
-
-impl Mlp {
-    pub(crate) fn from_layers(layers: Vec<DenseLayer>) -> crate::Result<Self> {
-        if layers.is_empty() {
-            return Err(NnError::InvalidConfig {
-                detail: "a network needs at least one layer".into(),
-            });
-        }
-        for w in layers.windows(2) {
-            if w[0].output_dim() != w[1].input_dim() {
-                return Err(NnError::ShapeMismatch {
-                    detail: format!(
-                        "layer output {} feeds layer input {}",
-                        w[0].output_dim(),
-                        w[1].input_dim()
-                    ),
-                });
-            }
-        }
-        Ok(Self { layers })
-    }
-
-    /// Number of layers (hidden + output).
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Input feature dimension.
-    #[must_use]
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].input_dim()
-    }
-
-    /// Output dimension.
-    #[must_use]
-    pub fn output_dim(&self) -> usize {
-        self.layers[self.layers.len() - 1].output_dim()
-    }
-
-    /// Read access to the layers.
-    #[must_use]
-    pub fn layers(&self) -> &[DenseLayer] {
-        &self.layers
-    }
-
-    /// Total trainable parameter count.
-    #[must_use]
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(DenseLayer::parameter_count).sum()
-    }
-
-    /// Inference on a batch (`batch × input_dim`), without touching the
-    /// training caches.
-    ///
-    /// Large batches (≥ 512 rows) are evaluated as independent row
-    /// chunks, in parallel when [`ppdl_solver::parallel`] is configured
-    /// with more than one thread. Each row's output depends only on that
-    /// row, so the result is bitwise identical to the sequential pass at
-    /// every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] for a wrong feature width.
-    pub fn predict(&self, x: &Matrix) -> crate::Result<Matrix> {
-        engine::predict(&self.layers, x)
-    }
-
-    /// One optimisation step on a batch: forward, loss, backward, and
-    /// parameter update. Returns the pre-update batch loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors and optimizer errors.
-    pub fn train_batch<O: Optimizer>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        optimizer: &mut O,
-    ) -> crate::Result<f64> {
-        self.train_batch_regularized(x, y, loss, 0.0, optimizer)
-    }
-
-    /// [`train_batch`](Self::train_batch) with an L2 penalty
-    /// `λ ‖Ω‖²` on the weights (not the biases) — the λC(Ω) term of
-    /// the paper's eq. 2. The returned loss excludes the penalty.
-    ///
-    /// Batches of at least 512 rows run the data-parallel path: the
-    /// batch splits into fixed 256-row chunks, each chunk's forward and
-    /// backward pass runs through the side-effect-free layer kernels
-    /// (concurrently when [`ppdl_solver::parallel`] allows), and chunk
-    /// gradients are summed in ascending chunk order. Both the split
-    /// and the reduction order are functions of the batch size alone,
-    /// so the resulting weights are bitwise identical at every thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors, optimizer errors, and
-    /// [`NnError::InvalidConfig`] for a negative or non-finite λ.
-    pub fn train_batch_regularized<O: Optimizer>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        weight_decay: f64,
-        optimizer: &mut O,
-    ) -> crate::Result<f64> {
-        engine::train_batch_regularized(&mut self.layers, x, y, loss, weight_decay, optimizer)
-    }
-
-    /// Classic whole-batch forward/backward, leaving gradients in the
-    /// layers' caches. Returns the batch loss.
-    #[cfg(test)]
-    fn train_step_full(&mut self, x: &Matrix, y: &Matrix, loss: Loss) -> crate::Result<f64> {
-        engine::train_step_full(&mut self.layers, x, y, loss)
-    }
-
-    /// Data-parallel forward/backward over fixed row chunks; installs
-    /// the chunk-order-summed gradients into the layers and returns the
-    /// batch loss (the chunk-weighted mean).
-    #[cfg(test)]
-    fn train_step_chunked(&mut self, x: &Matrix, y: &Matrix, loss: Loss) -> crate::Result<f64> {
-        engine::train_step_chunked(&mut self.layers, x, y, loss)
-    }
-}
-
-/// Builder for [`Mlp`] networks.
+/// Unlike [`NetworkBuilder::dense`](crate::NetworkBuilder::dense),
+/// which seeds each layer separately, every weight is drawn in layer
+/// order from one RNG seeded by [`seed`](Self::seed) — the
+/// initialisation every trained width model and committed golden
+/// starts from.
 #[derive(Debug, Clone)]
 pub struct MlpBuilder {
     input_dim: usize,
@@ -220,12 +73,13 @@ impl MlpBuilder {
         self
     }
 
-    /// Builds the network.
+    /// Builds the network: a `Flat(input_dim)` input followed by one
+    /// [`Layer::Dense`] per hidden layer and the output layer.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if any dimension is zero.
-    pub fn build(self) -> crate::Result<Mlp> {
+    pub fn build(self) -> crate::Result<Network> {
         if self.input_dim == 0 || self.output_dim == 0 {
             return Err(NnError::InvalidConfig {
                 detail: "input and output dimensions must be positive".into(),
@@ -235,23 +89,30 @@ impl MlpBuilder {
         let mut layers = Vec::with_capacity(self.hidden.len() + 1);
         let mut prev = self.input_dim;
         for (width, act) in &self.hidden {
-            layers.push(DenseLayer::new(prev, *width, *act, &mut rng)?);
+            layers.push(Layer::Dense(DenseLayer::new(prev, *width, *act, &mut rng)?));
             prev = *width;
         }
-        layers.push(DenseLayer::new(
+        layers.push(Layer::Dense(DenseLayer::new(
             prev,
             self.output_dim,
             self.output_activation,
             &mut rng,
-        )?);
-        Mlp::from_layers(layers)
+        )?));
+        Network::from_parts(TensorShape::Flat(self.input_dim), layers)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Adam, Sgd};
+    use crate::{engine, Adam, Loss, Matrix, Sgd};
+
+    fn dense(layer: &Layer) -> &DenseLayer {
+        match layer {
+            Layer::Dense(l) => l,
+            other => panic!("MlpBuilder built a non-dense layer: {other:?}"),
+        }
+    }
 
     #[test]
     fn builder_shapes() {
@@ -262,8 +123,9 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(m.layer_count(), 3);
-        assert_eq!(m.input_dim(), 3);
-        assert_eq!(m.output_dim(), 2);
+        assert!(m.layers().iter().all(|l| matches!(l, Layer::Dense(_))));
+        assert_eq!(m.input_shape(), TensorShape::Flat(3));
+        assert_eq!(m.output_shape(), TensorShape::Flat(2));
         assert_eq!(m.parameter_count(), (3 * 8 + 8) + (8 * 4 + 4) + (4 * 2 + 2));
     }
 
@@ -364,10 +226,17 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        let norm = |m: &Mlp| -> f64 {
+        let norm = |m: &Network| -> f64 {
             m.layers()
                 .iter()
-                .map(|l| l.weights().as_slice().iter().map(|w| w * w).sum::<f64>())
+                .map(|l| {
+                    dense(l)
+                        .weights()
+                        .as_slice()
+                        .iter()
+                        .map(|w| w * w)
+                        .sum::<f64>()
+                })
                 .sum()
         };
         let before = norm(&m);
@@ -428,12 +297,13 @@ mod tests {
             .seed(21)
             .build()
             .unwrap();
-        let mut full = base.clone();
-        let mut chunked = base.clone();
-        let vf = full.train_step_full(&x, &y, Loss::Mse).unwrap();
-        let vc = chunked.train_step_chunked(&x, &y, Loss::Mse).unwrap();
+        let mut full = base.layers().to_vec();
+        let mut chunked = base.layers().to_vec();
+        let vf = engine::train_step_full(&mut full, &x, &y, Loss::Mse).unwrap();
+        let vc = engine::train_step_chunked(&mut chunked, &x, &y, Loss::Mse).unwrap();
         assert!((vf - vc).abs() < 1e-12 * vf.abs().max(1.0), "{vf} vs {vc}");
-        for (lf, lc) in full.layers().iter().zip(chunked.layers()) {
+        for (lf, lc) in full.iter().zip(&chunked) {
+            let (lf, lc) = (dense(lf), dense(lc));
             for (a, b) in lf
                 .grad_weights()
                 .as_slice()
@@ -490,6 +360,7 @@ mod tests {
         let (l4, m4) = run(4);
         assert_eq!(l1, l4, "loss trajectories must be bitwise identical");
         for (a, b) in m1.layers().iter().zip(m4.layers()) {
+            let (a, b) = (dense(a), dense(b));
             assert_eq!(a.weights().as_slice(), b.weights().as_slice());
             assert_eq!(a.bias(), b.bias());
         }

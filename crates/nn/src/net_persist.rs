@@ -1,6 +1,7 @@
 //! Versioned text persistence for layer-graph [`Network`] models.
 //!
-//! The format extends the MLP codec with per-kind layer declarations:
+//! The format is line-oriented and human-inspectable, one tagged block
+//! per layer:
 //!
 //! ```text
 //! ppdl-net v1
@@ -22,7 +23,6 @@
 
 use crate::conv::{AvgPool2d, Conv2d, Flatten, MaxPool2d, Upsample2d};
 use crate::network::{Layer, Network, TensorShape};
-use crate::persist::parse_floats;
 use crate::{Activation, DenseLayer, Matrix, NnError};
 
 fn activation_suffix(act: Activation) -> String {
@@ -149,41 +149,36 @@ impl Network {
 
     /// Reconstructs a network from [`to_text`](Self::to_text) output.
     ///
+    /// Also reads the retired dense-only `ppdl-mlp v1` format, which
+    /// has no input line and spells each layer `layer <out> <in>
+    /// <activation>`; the input is then the first layer's width.
+    ///
+    /// Nothing is allocated from a declared count: parameter buffers
+    /// grow with the rows actually present, and every product of
+    /// declared dimensions is overflow-checked.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::Decode`] (with a line number) for malformed
-    /// input, and shape errors from
+    /// or oversized input, and shape errors from
     /// [`Network::from_parts`] if the declared chain is inconsistent.
     pub fn from_text(text: &str) -> crate::Result<Self> {
         let mut lines = text.lines().enumerate();
         let (ln, header) = next_line(&mut lines, "header")?;
-        if header != "ppdl-net v1" {
-            return Err(NnError::Decode {
-                line: ln,
-                detail: format!("bad header '{header}'"),
-            });
-        }
-        let (ln, input_line) = next_line(&mut lines, "input shape")?;
-        let fields: Vec<&str> = input_line.split_whitespace().collect();
-        let input_shape = match (fields.first(), fields.get(1)) {
-            (Some(&"input"), Some(&"flat")) => {
-                let d = parse_usizes(&fields, 2, 1, ln)?;
-                TensorShape::Flat(d[0])
-            }
-            (Some(&"input"), Some(&"chw")) => {
-                let d = parse_usizes(&fields, 2, 3, ln)?;
-                TensorShape::Chw {
-                    c: d[0],
-                    h: d[1],
-                    w: d[2],
-                }
-            }
+        let legacy = match header {
+            "ppdl-net v1" => false,
+            "ppdl-mlp v1" => true,
             _ => {
                 return Err(NnError::Decode {
                     line: ln,
-                    detail: format!("bad input shape line '{input_line}'"),
+                    detail: format!("bad header '{header}'"),
                 })
             }
+        };
+        let declared_input = if legacy {
+            None
+        } else {
+            Some(read_input_shape(&mut lines)?)
         };
         let (ln, count_line) = next_line(&mut lines, "layer count")?;
         let count: usize = count_line
@@ -193,47 +188,61 @@ impl Network {
                 line: ln,
                 detail: format!("bad layer count line '{count_line}'"),
             })?;
-        let mut layers = Vec::with_capacity(count);
+        let mut layers = Vec::new();
         for _ in 0..count {
             let (ln, decl) = next_line(&mut lines, "layer declaration")?;
             let fields: Vec<&str> = decl.split_whitespace().collect();
-            let kind = fields.first().copied().unwrap_or("");
+            let declared = fields.first().copied().unwrap_or("");
+            // `ppdl-mlp v1` is dense-only and spells each layer `layer`.
+            let kind = match (legacy, declared) {
+                (true, "layer") => "dense",
+                (true, _) => "",
+                (false, kind) => kind,
+            };
             let layer = match kind {
                 "dense" => {
                     let d = parse_usizes(&fields, 1, 2, ln)?;
                     let activation = parse_activation(&fields, 3, ln)?;
-                    let (weights, bias) = read_params(&mut lines, d[0], d[1])?;
+                    let (weights, bias) = read_params(&mut lines, d[0], d[1], ln)?;
                     Layer::Dense(DenseLayer::from_parameters(weights, bias, activation)?)
                 }
                 "conv2d" => {
                     let d = parse_usizes(&fields, 1, 5, ln)?;
                     let activation = parse_activation(&fields, 6, ln)?;
                     let (out_c, in_c, h, w, k) = (d[0], d[1], d[2], d[3], d[4]);
-                    let (weights, bias) = read_params(&mut lines, out_c, in_c * k * k)?;
+                    checked_product(&[in_c, h, w], ln)?;
+                    checked_product(&[out_c, h, w], ln)?;
+                    let fan_in = checked_product(&[in_c, k, k], ln)?;
+                    let (weights, bias) = read_params(&mut lines, out_c, fan_in, ln)?;
                     Layer::Conv2d(Conv2d::from_parameters(
                         in_c, h, w, out_c, k, activation, weights, bias,
                     )?)
                 }
                 "maxpool2d" => {
                     let d = parse_usizes(&fields, 1, 4, ln)?;
+                    checked_product(&d[..3], ln)?;
                     Layer::MaxPool2d(MaxPool2d::new(d[0], d[1], d[2], d[3])?)
                 }
                 "avgpool2d" => {
                     let d = parse_usizes(&fields, 1, 4, ln)?;
+                    checked_product(&d[..3], ln)?;
                     Layer::AvgPool2d(AvgPool2d::new(d[0], d[1], d[2], d[3])?)
                 }
                 "upsample2d" => {
                     let d = parse_usizes(&fields, 1, 4, ln)?;
+                    // The output map is c·(h·k)·(w·k).
+                    checked_product(&[d[0], d[1], d[2], d[3], d[3]], ln)?;
                     Layer::Upsample2d(Upsample2d::new(d[0], d[1], d[2], d[3])?)
                 }
                 "flatten" => {
                     let d = parse_usizes(&fields, 1, 3, ln)?;
+                    checked_product(&d, ln)?;
                     Layer::Flatten(Flatten::new(d[0], d[1], d[2])?)
                 }
-                other => {
+                _ => {
                     return Err(NnError::Decode {
                         line: ln,
-                        detail: format!("unknown layer kind '{other}'"),
+                        detail: format!("unknown layer kind '{declared}'"),
                     })
                 }
             };
@@ -246,6 +255,11 @@ impl Network {
                 detail: format!("expected 'end', found '{terminator}'"),
             });
         }
+        let input_shape = declared_input.unwrap_or_else(|| {
+            layers
+                .first()
+                .map_or(TensorShape::Flat(0), Layer::input_shape)
+        });
         Network::from_parts(input_shape, layers)
     }
 }
@@ -263,13 +277,65 @@ fn next_line<'a>(
         })
 }
 
+fn read_input_shape<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> crate::Result<TensorShape> {
+    let (ln, input_line) = next_line(lines, "input shape")?;
+    let fields: Vec<&str> = input_line.split_whitespace().collect();
+    match (fields.first(), fields.get(1)) {
+        (Some(&"input"), Some(&"flat")) => {
+            let d = parse_usizes(&fields, 2, 1, ln)?;
+            Ok(TensorShape::Flat(d[0]))
+        }
+        (Some(&"input"), Some(&"chw")) => {
+            let d = parse_usizes(&fields, 2, 3, ln)?;
+            checked_product(&d, ln)?;
+            Ok(TensorShape::Chw {
+                c: d[0],
+                h: d[1],
+                w: d[2],
+            })
+        }
+        _ => Err(NnError::Decode {
+            line: ln,
+            detail: format!("bad input shape line '{input_line}'"),
+        }),
+    }
+}
+
+/// The product of declared dimensions, or a decode error if it
+/// overflows `usize`.
+fn checked_product(dims: &[usize], ln: usize) -> crate::Result<usize> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| NnError::Decode {
+            line: ln,
+            detail: format!("dimensions {dims:?} overflow"),
+        })
+}
+
+fn parse_floats(line: &str, ln: usize) -> crate::Result<Vec<f64>> {
+    line.split_whitespace()
+        .map(|t| {
+            t.parse().map_err(|_| NnError::Decode {
+                line: ln,
+                detail: format!("bad float '{t}'"),
+            })
+        })
+        .collect()
+}
+
+/// Reads a `rows × cols` weight block and its bias row for the layer
+/// declared on line `ln`.
 fn read_params<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
     rows: usize,
     cols: usize,
+    ln: usize,
 ) -> crate::Result<(Matrix, Vec<f64>)> {
-    let mut weights = Matrix::zeros(rows, cols);
-    for r in 0..rows {
+    checked_product(&[rows, cols], ln)?;
+    let mut values = Vec::new();
+    for _ in 0..rows {
         let (ln, row) = next_line(lines, "weight row")?;
         let vals = parse_floats(row, ln)?;
         if vals.len() != cols {
@@ -278,7 +344,7 @@ fn read_params<'a>(
                 detail: format!("weight row has {} values, expected {cols}", vals.len()),
             });
         }
-        weights.row_mut(r).copy_from_slice(&vals);
+        values.extend(vals);
     }
     let (ln, brow) = next_line(lines, "bias row")?;
     let bias = parse_floats(brow, ln)?;
@@ -288,13 +354,13 @@ fn read_params<'a>(
             detail: format!("bias row has {} values, expected {rows}", bias.len()),
         });
     }
-    Ok((weights, bias))
+    Ok((Matrix::from_vec(rows, cols, values)?, bias))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NetworkBuilder, TensorShape};
+    use crate::{MlpBuilder, NetworkBuilder, TensorShape};
 
     fn chw(c: usize, h: usize, w: usize) -> TensorShape {
         TensorShape::Chw { c, h, w }
@@ -355,7 +421,7 @@ mod tests {
 
     #[test]
     fn bad_header_rejected() {
-        let err = Network::from_text("ppdl-mlp v1\n").unwrap_err();
+        let err = Network::from_text("nonsense v9\n").unwrap_err();
         assert!(matches!(err, NnError::Decode { line: 1, .. }));
     }
 
@@ -386,5 +452,156 @@ mod tests {
         let text = net.to_text();
         let truncated: String = text.lines().take(5).collect::<Vec<_>>().join("\n");
         assert!(Network::from_text(&truncated).is_err());
+    }
+
+    #[test]
+    fn mlp_round_trip_is_exact() {
+        let m = MlpBuilder::new(3)
+            .hidden(5, Activation::Relu)
+            .hidden(4, Activation::LeakyRelu(0.02))
+            .output(2)
+            .seed(17)
+            .build()
+            .unwrap();
+        let text = m.to_text();
+        assert!(text.starts_with("ppdl-net v1\ninput flat 3\nlayers 3\ndense 5 3 relu\n"));
+        let back = Network::from_text(&text).unwrap();
+        assert_eq!(back.layer_count(), m.layer_count());
+        let x = Matrix::from_fn(7, 3, |r, c| (r as f64 - c as f64) * 0.37);
+        assert_eq!(back.predict(&x).unwrap(), m.predict(&x).unwrap());
+        for (a, b) in back.layers().iter().zip(m.layers()) {
+            let (Layer::Dense(a), Layer::Dense(b)) = (a, b) else {
+                panic!("dense layers must decode as dense");
+            };
+            assert_eq!(a.activation(), b.activation());
+        }
+    }
+
+    #[test]
+    fn corrupted_float_rejected_with_line() {
+        let m = MlpBuilder::new(1).output(1).build().unwrap();
+        let Layer::Dense(first) = &m.layers()[0] else {
+            panic!("MlpBuilder builds dense layers");
+        };
+        let text = m.to_text().replace(
+            first.weights().get(0, 0).to_string().as_str(),
+            "not_a_number",
+        );
+        match Network::from_text(&text) {
+            Err(NnError::Decode { line, .. }) => assert!(line >= 3),
+            other => panic!("expected decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trained_model_round_trips_bitwise() {
+        // Adam-updated weights exercise the full float range (tiny
+        // mantissa tails the builder's init never produces), which is
+        // exactly what the artifact cache persists between runs.
+        use crate::{Dataset, TrainConfig, Trainer};
+        let mut m = MlpBuilder::new(2)
+            .hidden(8, Activation::Tanh)
+            .output(1)
+            .seed(3)
+            .build()
+            .unwrap();
+        let x = Matrix::from_fn(64, 2, |r, c| ((r * 7 + c * 3) % 13) as f64 / 13.0 - 0.5);
+        let y = Matrix::from_fn(64, 1, |r, _| {
+            let a = x.get(r, 0);
+            let b = x.get(r, 1);
+            (a * b + 0.3 * a).sin()
+        });
+        let data = Dataset::new(x.clone(), y).unwrap();
+        let report = Trainer::new(TrainConfig {
+            epochs: 20,
+            ..TrainConfig::default()
+        })
+        .fit(&mut m, &data)
+        .unwrap();
+        assert_eq!(report.epochs_run, 20);
+
+        let back = Network::from_text(&m.to_text()).unwrap();
+        assert_eq!(
+            back.predict(&x).unwrap(),
+            m.predict(&x).unwrap(),
+            "trained weights must survive save → load bit for bit"
+        );
+        // And the text itself is a fixed point: re-encoding the loaded
+        // model reproduces the artifact byte for byte.
+        assert_eq!(back.to_text(), m.to_text());
+    }
+
+    /// A hand-written block in the retired `ppdl-mlp v1` format.
+    const LEGACY: &str = "ppdl-mlp v1\nlayers 2\n\
+                          layer 2 1 leaky_relu 0.02\n0.5\n-1.25\n0.1 0\n\
+                          layer 1 2 identity\n1 -2\n0.25\nend\n";
+
+    #[test]
+    fn legacy_mlp_block_decodes_to_dense_network() {
+        let net = Network::from_text(LEGACY).unwrap();
+        assert_eq!(net.input_shape(), TensorShape::Flat(1));
+        assert_eq!(net.output_shape(), TensorShape::Flat(1));
+        // Re-encoding upgrades to `ppdl-net v1`, which is a fixed point.
+        let upgraded = net.to_text();
+        assert_eq!(
+            upgraded,
+            "ppdl-net v1\ninput flat 1\nlayers 2\n\
+             dense 2 1 leaky_relu 0.02\n0.5\n-1.25\n0.1 0\n\
+             dense 1 2 identity\n1 -2\n0.25\nend\n"
+        );
+        assert_eq!(Network::from_text(&upgraded).unwrap().to_text(), upgraded);
+        // y = 1·lrelu(0.5x + 0.1) − 2·lrelu(−1.25x) + 0.25 at x = 2.
+        let y = net
+            .predict(&Matrix::from_vec(1, 1, vec![2.0]).unwrap())
+            .unwrap();
+        assert!((y.get(0, 0) - 1.45).abs() < 1e-12, "{}", y.get(0, 0));
+    }
+
+    #[test]
+    fn malformed_legacy_blocks_rejected() {
+        for text in [
+            // Truncated mid-layer.
+            "ppdl-mlp v1\nlayers 1\nlayer 1 2 identity\n",
+            // Weight row has 1 value but the input dim is 2.
+            "ppdl-mlp v1\nlayers 1\nlayer 1 2 identity\n0.5\n0.0\nend\n",
+            // Missing terminator.
+            "ppdl-mlp v1\nlayers 1\nlayer 1 1 identity\n0.5\n0.0\nnot-end\n",
+            // Unknown activation.
+            "ppdl-mlp v1\nlayers 1\nlayer 1 1 swish extra\n0.5\n0.0\nend\n",
+            // The legacy format is dense-only and has no input line.
+            "ppdl-mlp v1\nlayers 1\ndense 1 1 identity\n0.5\n0.0\nend\n",
+            "ppdl-mlp v1\ninput flat 1\nlayers 1\nlayer 1 1 identity\n0.5\n0.0\nend\n",
+        ] {
+            assert!(Network::from_text(text).is_err(), "{text}");
+        }
+        // `layer` is a legacy spelling only.
+        let text = "ppdl-net v1\ninput flat 1\nlayers 1\nlayer 1 1 identity\n0.5\n0.0\nend\n";
+        assert!(matches!(
+            Network::from_text(text),
+            Err(NnError::Decode { line: 4, .. })
+        ));
+    }
+
+    /// Declared sizes that once sized allocations (or overflowed
+    /// computing them) before any parameter was read. Each must fail
+    /// as a decode error, not a panic or an allocator abort.
+    #[test]
+    fn oversized_declarations_are_decode_errors() {
+        for text in [
+            "ppdl-net v1\ninput flat 3\nlayers 18446744073709551615\n",
+            "ppdl-mlp v1\nlayers 18446744073709551615\n",
+            "ppdl-net v1\ninput flat 3\nlayers 1\ndense 4294967296 4294967296 relu\n",
+            "ppdl-mlp v1\nlayers 1\nlayer 4294967296 4294967296 relu\n",
+            "ppdl-net v1\ninput chw 4294967296 4294967296 1\nlayers 1\n\
+             flatten 4294967296 4294967296 1\nend\n",
+            "ppdl-net v1\ninput chw 1 3 3\nlayers 1\nconv2d 1 1 3 3 4294967297 relu\n",
+            "ppdl-net v1\ninput flat 3\nlayers 1\ndense 3000000 3000000 relu\n",
+            "ppdl-mlp v1\nlayers 1\nlayer 3000000 3000000 relu\n",
+        ] {
+            assert!(
+                matches!(Network::from_text(text), Err(NnError::Decode { .. })),
+                "{text}"
+            );
+        }
     }
 }

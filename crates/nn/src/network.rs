@@ -1,12 +1,12 @@
-//! The general layer-graph model: a sequential [`Network`] composing
-//! dense and spatial layers behind the same deterministic engine the
-//! [`Mlp`](crate::Mlp) uses.
+//! The layer-graph model: a sequential [`Network`] composing dense and
+//! spatial layers behind one deterministic engine. The paper's MLP is
+//! the dense-only case ([`MlpBuilder`](crate::MlpBuilder)).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::conv::{AvgPool2d, Conv2d, Flatten, MaxPool2d, Upsample2d};
-use crate::engine::{self, LayerOps};
+use crate::engine;
 use crate::{Activation, DenseLayer, Loss, Matrix, NnError, Optimizer};
 
 /// The shape of the tensor flowing between layers: a flat feature row
@@ -172,43 +172,14 @@ impl Layer {
             _ => 0,
         }
     }
-}
 
-impl LayerOps for Layer {
-    fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-        match self {
-            Layer::Dense(l) => l.forward(input),
-            Layer::Conv2d(l) => l.forward(input),
-            Layer::MaxPool2d(l) => l.forward(input),
-            Layer::AvgPool2d(l) => l.forward(input),
-            Layer::Upsample2d(l) => l.forward(input),
-            Layer::Flatten(l) => l.forward_inference(input),
-        }
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-        match self {
-            Layer::Dense(l) => l.backward(grad_output),
-            Layer::Conv2d(l) => l.backward(grad_output),
-            Layer::MaxPool2d(l) => l.backward(grad_output),
-            Layer::AvgPool2d(l) => l.backward(grad_output),
-            Layer::Upsample2d(l) => l.backward(grad_output),
-            Layer::Flatten(_) => Ok(grad_output.clone()),
-        }
-    }
-
-    fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
-        match self {
-            Layer::Dense(l) => l.forward_pure(input),
-            Layer::Conv2d(l) => l.forward_pure(input),
-            Layer::MaxPool2d(l) => l.forward_pure(input),
-            Layer::AvgPool2d(l) => l.forward_pure(input),
-            Layer::Upsample2d(l) => l.forward_pure(input),
-            Layer::Flatten(l) => l.forward_pure(input),
-        }
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
+    /// Inference-only forward pass for a batch (no caching) — one
+    /// step of [`Network::predict`]'s unchunked path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] if the batch width is wrong.
+    pub fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
         match self {
             Layer::Dense(l) => l.forward_inference(input),
             Layer::Conv2d(l) => l.forward_inference(input),
@@ -219,7 +190,52 @@ impl LayerOps for Layer {
         }
     }
 
-    fn backward_pure(
+    // The engine's per-layer contract. Every kind exposes a stateful
+    // path (whole-batch training), a side-effect-free pure path (the
+    // per-chunk data-parallel kernels), and the parameter hooks the
+    // optimizer protocol needs. Parameterless layers (pools, flatten,
+    // upsample) return empty gradient tensors from `backward_pure` and
+    // never invoke the `update_parameters` callback.
+
+    /// Stateful forward pass, caching whatever `backward` needs.
+    pub(crate) fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
+        match self {
+            Layer::Dense(l) => l.forward(input),
+            Layer::Conv2d(l) => l.forward(input),
+            Layer::MaxPool2d(l) => l.forward(input),
+            Layer::AvgPool2d(l) => l.forward(input),
+            Layer::Upsample2d(l) => l.forward(input),
+            Layer::Flatten(l) => l.forward_inference(input),
+        }
+    }
+
+    /// Stateful backward pass consuming the `forward` caches.
+    pub(crate) fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
+        match self {
+            Layer::Dense(l) => l.backward(grad_output),
+            Layer::Conv2d(l) => l.backward(grad_output),
+            Layer::MaxPool2d(l) => l.backward(grad_output),
+            Layer::AvgPool2d(l) => l.backward(grad_output),
+            Layer::Upsample2d(l) => l.backward(grad_output),
+            Layer::Flatten(_) => Ok(grad_output.clone()),
+        }
+    }
+
+    /// Side-effect-free forward returning `(pre_activation, output)`.
+    pub(crate) fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
+        match self {
+            Layer::Dense(l) => l.forward_pure(input),
+            Layer::Conv2d(l) => l.forward_pure(input),
+            Layer::MaxPool2d(l) => l.forward_pure(input),
+            Layer::AvgPool2d(l) => l.forward_pure(input),
+            Layer::Upsample2d(l) => l.forward_pure(input),
+            Layer::Flatten(l) => l.forward_pure(input),
+        }
+    }
+
+    /// Side-effect-free backward for one chunk:
+    /// `(grad_input, grad_weights, grad_bias)`.
+    pub(crate) fn backward_pure(
         &self,
         input: &Matrix,
         pre: &Matrix,
@@ -235,7 +251,8 @@ impl LayerOps for Layer {
         }
     }
 
-    fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>) {
+    /// Installs externally reduced gradients.
+    pub(crate) fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>) {
         match self {
             Layer::Dense(l) => l.set_gradients(grad_weights, grad_bias),
             Layer::Conv2d(l) => l.set_gradients(grad_weights, grad_bias),
@@ -243,7 +260,9 @@ impl LayerOps for Layer {
         }
     }
 
-    fn update_parameters(&mut self, f: impl FnMut(&mut [f64], &[f64])) {
+    /// Applies `f` to each (parameters, gradients) tensor pair —
+    /// weights first, then bias; never called for parameterless layers.
+    pub(crate) fn update_parameters(&mut self, f: impl FnMut(&mut [f64], &[f64])) {
         match self {
             Layer::Dense(l) => l.update_parameters(f),
             Layer::Conv2d(l) => l.update_parameters(f),
@@ -252,11 +271,31 @@ impl LayerOps for Layer {
     }
 }
 
-/// A sequential layer-graph model over [`Layer`]s, driving the same
-/// bitwise-deterministic chunked engine as [`Mlp`](crate::Mlp): samples
-/// are matrix rows, large batches split into fixed 256-row chunks, and
-/// gradients reduce in ascending chunk order regardless of thread
-/// count.
+/// A sequential layer-graph model over [`Layer`]s on the
+/// bitwise-deterministic chunked engine: samples are matrix rows, large
+/// batches split into fixed 256-row chunks, and gradients reduce in
+/// ascending chunk order regardless of thread count.
+///
+/// The paper's width regressor is the dense-only case, built by
+/// [`MlpBuilder`](crate::MlpBuilder): three inputs (`X`, `Y`, `Id`),
+/// ten hidden layers, and one output (`wᵢ`), trained with Adam on MSE.
+///
+/// # Example
+///
+/// ```
+/// use ppdl_nn::{Activation, Matrix, MlpBuilder, TensorShape};
+///
+/// let model = MlpBuilder::new(3)
+///     .hidden_stack(10, 24, Activation::Relu) // the paper's 10 hidden layers
+///     .output(1)
+///     .seed(1)
+///     .build()
+///     .unwrap();
+/// assert_eq!(model.layer_count(), 11);
+/// assert_eq!(model.input_shape(), TensorShape::Flat(3));
+/// let y = model.predict(&Matrix::zeros(4, 3)).unwrap();
+/// assert_eq!(y.shape(), (4, 1));
+/// ```
 #[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
@@ -330,21 +369,24 @@ impl Network {
         self.layers.iter().map(Layer::parameter_count).sum()
     }
 
-    /// Inference on a batch (`batch × input_shape.len()`), chunked and
-    /// parallel for large batches exactly like [`Mlp::predict`]
-    /// (bitwise identical at every thread count).
+    /// Inference on a batch (`batch × input_shape.len()`), without
+    /// touching the training caches.
+    ///
+    /// Large batches (≥ 512 rows) are evaluated as independent row
+    /// chunks, in parallel when [`ppdl_solver::parallel`] is configured
+    /// with more than one thread. Each row's output depends only on that
+    /// row, so the result is bitwise identical to the sequential pass at
+    /// every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] for a wrong input width.
-    ///
-    /// [`Mlp::predict`]: crate::Mlp::predict
     pub fn predict(&self, x: &Matrix) -> crate::Result<Matrix> {
         engine::predict(&self.layers, x)
     }
 
-    /// One optimisation step on a batch. See
-    /// [`Mlp::train_batch`](crate::Mlp::train_batch).
+    /// One optimisation step on a batch: forward, loss, backward, and
+    /// parameter update. Returns the pre-update batch loss.
     ///
     /// # Errors
     ///
@@ -359,10 +401,19 @@ impl Network {
         self.train_batch_regularized(x, y, loss, 0.0, optimizer)
     }
 
-    /// One optimisation step with an L2 weight penalty, on the shared
-    /// deterministic chunked path. See
-    /// [`Mlp::train_batch_regularized`](crate::Mlp::train_batch_regularized);
-    /// parameterless layers simply contribute no optimizer groups.
+    /// [`train_batch`](Self::train_batch) with an L2 penalty
+    /// `λ ‖Ω‖²` on the weights (not the biases) — the λC(Ω) term of
+    /// the paper's eq. 2. The returned loss excludes the penalty;
+    /// parameterless layers contribute no optimizer groups.
+    ///
+    /// Batches of at least 512 rows run the data-parallel path: the
+    /// batch splits into fixed 256-row chunks, each chunk's forward and
+    /// backward pass runs through the side-effect-free layer kernels
+    /// (concurrently when [`ppdl_solver::parallel`] allows), and chunk
+    /// gradients are summed in ascending chunk order. Both the split
+    /// and the reduction order are functions of the batch size alone,
+    /// so the resulting weights are bitwise identical at every thread
+    /// count.
     ///
     /// # Errors
     ///

@@ -1,68 +1,6 @@
 use std::time::Instant;
 
-use crate::{Adam, Dataset, Loss, Matrix, Mlp, Network, NnError, Optimizer};
-
-/// What the [`Trainer`] needs from a model: one regularized
-/// minibatch step and batch inference. Implemented by [`Mlp`] and
-/// [`Network`], so the same training loop (shuffling, validation
-/// split, early stopping, telemetry) drives every backend.
-pub trait TrainableModel {
-    /// One optimisation step on a batch with an L2 weight penalty,
-    /// returning the pre-update batch loss (penalty excluded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape, optimizer, and configuration errors.
-    fn train_batch_regularized<O: Optimizer>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        weight_decay: f64,
-        optimizer: &mut O,
-    ) -> crate::Result<f64>;
-
-    /// Batch inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error for a wrong input width.
-    fn predict(&self, x: &Matrix) -> crate::Result<Matrix>;
-}
-
-impl TrainableModel for Mlp {
-    fn train_batch_regularized<O: Optimizer>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        weight_decay: f64,
-        optimizer: &mut O,
-    ) -> crate::Result<f64> {
-        Mlp::train_batch_regularized(self, x, y, loss, weight_decay, optimizer)
-    }
-
-    fn predict(&self, x: &Matrix) -> crate::Result<Matrix> {
-        Mlp::predict(self, x)
-    }
-}
-
-impl TrainableModel for Network {
-    fn train_batch_regularized<O: Optimizer>(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        loss: Loss,
-        weight_decay: f64,
-        optimizer: &mut O,
-    ) -> crate::Result<f64> {
-        Network::train_batch_regularized(self, x, y, loss, weight_decay, optimizer)
-    }
-
-    fn predict(&self, x: &Matrix) -> crate::Result<Matrix> {
-        Network::predict(self, x)
-    }
-}
+use crate::{Adam, Dataset, Loss, Network, NnError};
 
 /// Per-epoch loss histogram edges: 1e-10 to 100, one decade per bucket.
 const LOSS_BOUNDS: [f64; 13] = [
@@ -140,7 +78,7 @@ impl TrainReport {
     }
 }
 
-/// Mini-batch trainer driving a [`TrainableModel`] with Adam.
+/// Mini-batch trainer driving a [`Network`] with Adam.
 ///
 /// # Example
 ///
@@ -174,8 +112,8 @@ impl Trainer {
         &self.config
     }
 
-    /// Trains `model` on `data`. Works for any [`TrainableModel`] —
-    /// the paper's [`Mlp`] as well as spatial [`Network`] graphs.
+    /// Trains `model` on `data` — the paper's dense MLP and the
+    /// spatial layer graphs alike.
     ///
     /// # Errors
     ///
@@ -183,11 +121,7 @@ impl Trainer {
     ///   validation split.
     /// * [`NnError::Diverged`] — a non-finite loss appeared.
     /// * Shape errors propagate from the model.
-    pub fn fit<M: TrainableModel>(
-        &self,
-        model: &mut M,
-        data: &Dataset,
-    ) -> crate::Result<TrainReport> {
+    pub fn fit(&self, model: &mut Network, data: &Dataset) -> crate::Result<TrainReport> {
         let c = &self.config;
         if c.epochs == 0 || c.batch_size == 0 {
             return Err(NnError::InvalidConfig {
@@ -279,7 +213,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Matrix, MlpBuilder};
+    use crate::{Activation, Layer, Matrix, MlpBuilder};
 
     fn linear_data(n: usize) -> Dataset {
         let x = Matrix::from_fn(n, 2, |r, c| ((r * 3 + c * 7) % 13) as f64 / 13.0);
@@ -287,7 +221,7 @@ mod tests {
         Dataset::new(x, y).unwrap()
     }
 
-    fn model() -> Mlp {
+    fn model() -> Network {
         MlpBuilder::new(2)
             .hidden(12, Activation::Tanh)
             .output(1)
@@ -385,10 +319,13 @@ mod tests {
         })
         .fit(&mut decayed, &data)
         .unwrap();
-        let norm = |m: &Mlp| -> f64 {
+        let norm = |m: &Network| -> f64 {
             m.layers()
                 .iter()
-                .flat_map(|l| l.weights().as_slice().iter())
+                .flat_map(|l| match l {
+                    Layer::Dense(d) => d.weights().as_slice(),
+                    _ => &[],
+                })
                 .map(|w| w * w)
                 .sum()
         };

@@ -1,7 +1,8 @@
 //! Property-based tests for the neural-network library.
 
 use ppdl_nn::{
-    metrics, Activation, Adam, Dataset, Loss, Matrix, Mlp, MlpBuilder, Optimizer, StandardScaler,
+    metrics, Activation, Adam, Dataset, Loss, Matrix, MlpBuilder, Network, Optimizer,
+    StandardScaler,
 };
 use proptest::prelude::*;
 
@@ -50,7 +51,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let back = Mlp::from_text(&model.to_text()).unwrap();
+        let back = Network::from_text(&model.to_text()).unwrap();
         let x = Matrix::from_fn(4, 3, |r, c| (r as f64 - 1.5) * (c as f64 + 0.5));
         prop_assert_eq!(back.predict(&x).unwrap(), model.predict(&x).unwrap());
     }

@@ -290,57 +290,6 @@ impl ConjugateGradient {
         self.solve_core(a, b, precond, x)
     }
 
-    /// Deprecated shim for the retired generic surface: forwards to
-    /// [`solve_using`](Self::solve_using) unchanged. New code should
-    /// select a [`PrecondKind`](crate::PrecondKind) via
-    /// [`CgOptions::precond`] and call [`solve`](Self::solve); keep a
-    /// caller-built preconditioner only to amortize one factorization,
-    /// via `solve_using`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve_using`](Self::solve_using).
-    #[deprecated(
-        since = "0.9.0",
-        note = "select a PrecondKind via CgOptions and call solve(a, b); \
-                for custom preconditioners use solve_using"
-    )]
-    pub fn solve_with<P: Preconditioner>(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        precond: &P,
-    ) -> crate::Result<CgSolution> {
-        self.solve_using(a, b, precond)
-    }
-
-    /// Deprecated shim for the retired generic warm-start surface:
-    /// forwards to
-    /// [`solve_with_guess_using`](Self::solve_with_guess_using)
-    /// unchanged (it used to reach into the iteration core directly —
-    /// same behaviour, but the forwarding keeps the shims uniform).
-    /// New code should select a [`PrecondKind`](crate::PrecondKind) via
-    /// [`CgOptions::precond`] and call
-    /// [`solve_with_guess`](Self::solve_with_guess).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve_with_guess_using`](Self::solve_with_guess_using).
-    #[deprecated(
-        since = "0.9.0",
-        note = "select a PrecondKind via CgOptions and call solve_with_guess(a, b, x0); \
-                for custom preconditioners use solve_with_guess_using"
-    )]
-    pub fn solve_with_guess_with<P: Preconditioner>(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        precond: &P,
-        x: Vec<f64>,
-    ) -> crate::Result<CgSolution> {
-        self.solve_with_guess_using(a, b, precond, x)
-    }
-
     /// The PCG iteration shared by every public entry point.
     fn solve_core(
         &self,
@@ -464,7 +413,7 @@ impl ConjugateGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IdentityPreconditioner, IncompleteCholesky, JacobiPreconditioner, TripletMatrix};
+    use crate::{IdentityPreconditioner, IncompleteCholesky, TripletMatrix};
 
     fn chain(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -615,22 +564,6 @@ mod tests {
         let explicit = cg.solve_using(&a, &b, &ic).unwrap();
         assert_eq!(built.x, explicit.x);
         assert_eq!(built.iterations, explicit.iterations);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_new_surface() {
-        let a = grid2d(6);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.4 + 0.1).collect();
-        let cg = ConjugateGradient::default();
-        let pc = JacobiPreconditioner::from_matrix(&a).unwrap();
-        let new = cg.solve(&a, &b).unwrap();
-        let shim = cg.solve_with(&a, &b, &pc).unwrap();
-        assert_eq!(new.x, shim.x);
-        let guess = vec![0.0; n];
-        let shim2 = cg.solve_with_guess_with(&a, &b, &pc, guess).unwrap();
-        assert_eq!(new.x, shim2.x);
     }
 
     #[test]
