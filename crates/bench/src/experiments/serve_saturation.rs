@@ -106,7 +106,6 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         let addr = listener.local_addr()?;
         let net = NetConfig {
             max_clients: clients + 1,
-            ..NetConfig::default()
         };
         let server = {
             let registry = Arc::clone(&registry);

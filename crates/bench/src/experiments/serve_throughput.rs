@@ -4,25 +4,45 @@
 //! trained once on a signed-off grid answers streams of small-change
 //! queries. This experiment measures that serving path end to end: a
 //! [`TrainedBundle`] is trained once (through the cached pipeline
-//! stages), loaded into a [`PredictionService`], and a fixed stream of
-//! perturbation requests is replayed at increasing `max_batch` settings
-//! — the knob that bounds how many requests one `par_map_vec` batch
-//! executes in parallel. A final pass replays the same stream against a
-//! warm response cache to show the cache-hit fast path.
+//! stages), installed as the one bundle of a [`ModelRegistry`] (what
+//! `ppdl serve --bundle` builds), and a fixed stream of perturbation
+//! requests is replayed through one [`Session`](ppdl_service::Session)
+//! at increasing `max_batch` settings — the knob that bounds how many
+//! requests one `par_map_vec` batch executes in parallel. A final pass
+//! replays the same stream against a warm response cache to show the
+//! cache-hit fast path.
+//!
+//! In-process, with the cache off, so only `max_batch` varies; the
+//! `serve_saturation` experiment instead varies the client count over
+//! real TCP.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use ppdl_core::pipeline::ArtifactCache;
 use ppdl_core::predict::{PredictRequest, TrainedBundle};
 use ppdl_core::{Perturbation, PerturbationKind};
 use ppdl_netlist::IbmPgPreset;
-use ppdl_service::{PredictionService, ServiceConfig};
+use ppdl_service::{ModelRegistry, ServiceConfig, ServiceCore, Session};
 
 use super::{base_builder, manifest_for, DynError, RunOutput};
 use crate::harness::{format_table, write_primary_csv, Options};
 
 /// Requests per replay; enough to fill every batch size evenly.
 const REQUESTS: usize = 64;
+
+/// A one-bundle registry session and the core whose counters it feeds.
+fn one_bundle(
+    bundle: &TrainedBundle,
+    config: ServiceConfig,
+) -> Result<(Session, Arc<ServiceCore>), DynError> {
+    let registry = Arc::new(ModelRegistry::new(config));
+    registry.install("bench", bundle.clone())?;
+    let core = registry
+        .get("bench")
+        .ok_or("bundle missing after install")?;
+    Ok((registry.session(), core))
+}
 
 fn request_stream(seed: u64) -> Result<Vec<PredictRequest>, DynError> {
     let kinds = [
@@ -64,8 +84,8 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         // A fresh service per point: cold response cache (disabled, so
         // the numbers measure inference, not memoization) and zeroed
         // counters.
-        let mut service = PredictionService::new(
-            bundle.clone(),
+        let (mut session, core) = one_bundle(
+            &bundle,
             ServiceConfig {
                 queue_capacity: REQUESTS,
                 max_batch,
@@ -74,14 +94,14 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
             },
         )?;
         for request in request_stream(opts.seed)? {
-            service.enqueue(request)?;
+            session.enqueue(None, request)?;
         }
-        let replies = service.flush();
+        let replies = session.flush();
         let failed = replies.iter().filter(|r| r.result.is_err()).count();
         if failed > 0 {
             return Err(format!("{failed} requests failed in batch sweep").into());
         }
-        let stats = service.stats();
+        let stats = core.stats();
         manifest.add_metric(&format!("batch{max_batch}_rps"), stats.throughput_rps());
         rows.push(vec![
             max_batch.to_string(),
@@ -97,8 +117,8 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
 
     // Warm-cache replay: same payload stream twice through one service
     // with the response cache on — the second pass must be all hits.
-    let mut service = PredictionService::new(
-        bundle,
+    let (mut session, core) = one_bundle(
+        &bundle,
         ServiceConfig {
             queue_capacity: REQUESTS,
             max_batch: 64,
@@ -109,11 +129,11 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     for pass in 0..2 {
         for mut request in request_stream(opts.seed)? {
             request.id = format!("p{pass}-{}", request.id);
-            service.enqueue(request)?;
+            session.enqueue(None, request)?;
         }
-        service.flush();
+        session.flush();
     }
-    let stats = service.stats();
+    let stats = core.stats();
     manifest.add_metric("warm_cache_hits", stats.cache_hits as f64);
     let _ = writeln!(
         report,

@@ -13,7 +13,7 @@
 //!   versioned text artifact tagged with its backend and input spec.
 //! * [`PredictRequest`] / [`PredictResponse`] — the typed query pair
 //!   shared by the pipeline's Predict stage, the `ppdl serve` CLI, and
-//!   the batched [`PredictionService`](../../ppdl_service) engine.
+//!   the batched `ppdl_service` registry sessions.
 //! * [`predict`] — the one function that turns a request into a
 //!   response; everything else routes through it.
 
@@ -525,9 +525,9 @@ impl TrainedBundle {
     /// bundle's configured stride as the default.
     ///
     /// For a stream of requests, instantiate the base once and call
-    /// [`predict`] directly (or use `ppdl_service::PredictionService`,
-    /// which also batches) — this convenience regenerates the base per
-    /// call.
+    /// [`predict`] directly (or serve it from a
+    /// `ppdl_service::ModelRegistry` session, which also batches) —
+    /// this convenience regenerates the base per call.
     ///
     /// # Errors
     ///

@@ -9,30 +9,31 @@
 //!   [`TrainedBundle`], the regenerated base design, the shared
 //!   response cache, per-bundle telemetry, and the admission gauge.
 //!   Thread-safe; every batch executes against a core.
-//! * [`PredictionService`] — the single-bundle session the `ppdl serve`
-//!   stdin/stdout mode uses: a bounded queue in front of one core.
-//! * [`ModelRegistry`] / [`Session`](registry::Session) — many cores
-//!   resident at once, requests routed by a `bundle` id, atomic
-//!   hot-swap of a bundle without dropping in-flight batches, and
-//!   typed `service/overloaded` admission control when a bundle's
-//!   pending work saturates.
+//! * [`ModelRegistry`] / [`Session`] — many cores resident at once,
+//!   requests routed by a `bundle` id, atomic hot-swap of a bundle
+//!   without dropping in-flight batches, and typed `service/overloaded`
+//!   admission control when a bundle's pending work saturates. A
+//!   session's bounded queue is the crate's only request queue.
+//! * [`proto`] — the NDJSON protocol and its one command loop, which
+//!   runs one session per stream: stdin/stdout ([`serve_ndjson`]) and
+//!   every [`net`] connection alike.
 //! * [`net`] — a hand-rolled multi-threaded TCP (and Unix-socket)
-//!   listener speaking the same NDJSON protocol, one session per
-//!   connection, all feeding the shared cores.
+//!   listener, one session per connection, all feeding the shared
+//!   cores.
 //!
-//! Transport framing lives in [`proto`] (newline-delimited JSON) and
-//! [`line`](crate::net) (the robust byte-level line reader: a final
+//! Framing is the robust byte-level line reader in `line.rs`: a final
 //! request line without a trailing newline, a mid-line disconnect, an
 //! invalid-UTF-8 line, or an oversized line all produce a reply or a
-//! typed `service/json` error — never a silent drop). Malformed
-//! request lines yield typed error responses; the process never dies
-//! on bad input.
+//! typed `service/json` error — never a silent drop. Malformed request
+//! lines yield typed error responses; the process never dies on bad
+//! input.
 //!
 //! ```text
-//!   TCP/Unix clients ──▶ net listener ──▶ Session ─┐ route by bundle id
-//!   NDJSON stdin ──────▶ PredictionService ────────┼──▶ ServiceCore (per bundle)
-//!                                                  │      cache probe → par_map batch
-//!   {"cmd":"load"} ────▶ ModelRegistry hot-swap ───┘      admission + telemetry
+//!   TCP/Unix clients ──▶ net listener ─┐
+//!                                      ├─▶ command loop ──▶ Session ──▶ ServiceCore (per bundle)
+//!   NDJSON stdin ──────────────────────┘    (proto.rs)     route by      cache probe → par_map batch
+//!                                                          bundle id     admission + telemetry
+//!   {"cmd":"load"} ────▶ ModelRegistry hot-swap
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,11 +68,11 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuning knobs of a [`PredictionService`] / [`ServiceCore`].
+/// Tuning knobs of a [`ModelRegistry`]'s sessions and cores.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum requests one session's inbound queue holds before
-    /// [`enqueue`](PredictionService::enqueue) reports backpressure.
+    /// [`Session::enqueue`] reports backpressure.
     pub queue_capacity: usize,
     /// Maximum requests one parallel batch executes; a flush of a
     /// longer queue runs several batches back to back.
@@ -208,7 +209,7 @@ pub struct ServiceReply {
 /// A point-in-time snapshot of a core's monotonic counters,
 /// reconstructed from the per-bundle [`ppdl_obs::Registry`] by
 /// [`ServiceCore::stats`] and serialised by
-/// [`PredictionService::stats_json`].
+/// [`ModelRegistry::stats_json`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
     /// Requests accepted (admitted) for this bundle.
@@ -354,7 +355,7 @@ pub struct ServiceCore {
     batches: ppdl_obs::Counter,
     /// One sample per executed batch (milliseconds), the source of the
     /// `busy_ms` total and the p50/p95/p99 fields in
-    /// [`PredictionService::stats_json`].
+    /// [`ModelRegistry::stats_json`].
     batch_ms: ppdl_obs::HistogramHandle,
     /// Requests admitted and not yet answered, across every session on
     /// this core — the admission-control gauge.
@@ -370,7 +371,7 @@ impl ServiceCore {
     /// # Errors
     ///
     /// Propagates bundle validation and base-instantiation errors.
-    pub fn new(bundle: TrainedBundle, config: ServiceConfig) -> Result<Self, ServiceError> {
+    pub(crate) fn new(bundle: TrainedBundle, config: ServiceConfig) -> Result<Self, ServiceError> {
         bundle.validate()?;
         let base = bundle.instantiate_base()?;
         let cache = Mutex::new(ResponseCache::new(config.cache_capacity));
@@ -456,7 +457,7 @@ impl ServiceCore {
     /// # Errors
     ///
     /// Returns [`ServiceError::Overloaded`]; nothing is reserved then.
-    pub fn admit(&self) -> Result<(), ServiceError> {
+    pub(crate) fn admit(&self) -> Result<(), ServiceError> {
         let capacity = self.config.max_pending.max(1);
         let mut current = self.pending.load(Ordering::Relaxed);
         loop {
@@ -484,7 +485,7 @@ impl ServiceCore {
     /// Releases `n` admission slots reserved by [`admit`](Self::admit)
     /// — called once the requests are answered, or when a session is
     /// dropped with requests still queued.
-    pub fn release(&self, n: usize) {
+    pub(crate) fn release(&self, n: usize) {
         if n > 0 {
             self.pending.fetch_sub(n, Ordering::AcqRel);
         }
@@ -496,7 +497,7 @@ impl ServiceCore {
     /// are *not* released here — the session that reserved them does
     /// that, because a hot-swap can retire a core between reservation
     /// and execution.
-    pub fn run_batch(&self, batch: &[PredictRequest]) -> Vec<ServiceReply> {
+    pub(crate) fn run_batch(&self, batch: &[PredictRequest]) -> Vec<ServiceReply> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -568,11 +569,12 @@ impl ServiceCore {
         replies
     }
 
-    /// The body of the stats JSON object (everything after the status
-    /// tag), shared by the single-bundle snapshot and the registry's
-    /// per-bundle map. `queue_depth` is session state, so the caller
-    /// supplies it (a registry reports the core-wide pending count).
-    pub(crate) fn stats_body(&self, queue_depth: usize) -> String {
+    /// The body of one bundle's stats JSON object (everything after
+    /// the status tag), shared by the registry snapshot's top level
+    /// (the default bundle) and its per-bundle map. `queue_depth`
+    /// reports the core-wide pending count, which for a lone session is
+    /// its queue length.
+    pub(crate) fn stats_body(&self) -> String {
         use ppdl_core::pipeline::{json_number, json_string};
         let s = self.stats();
         let quantile = |q: f64| {
@@ -594,7 +596,7 @@ impl ServiceCore {
             s.errors,
             s.cache_hits,
             s.batches,
-            queue_depth,
+            s.pending,
             json_number(s.busy_secs * 1e3),
             s.last_batch_size,
             json_number(s.last_batch_secs * 1e3),
@@ -608,171 +610,27 @@ impl ServiceCore {
     }
 }
 
-/// The long-lived single-bundle batched prediction engine: a bounded
-/// queue in front of one [`ServiceCore`]. This is what the `ppdl
-/// serve` stdin/stdout mode runs; network serving routes through
-/// [`ModelRegistry`] sessions instead, sharing the same core type.
-///
-/// # Example
-///
-/// ```
-/// use ppdl_core::{DlFlowConfig, PredictRequest, TrainedBundle};
-/// use ppdl_netlist::IbmPgPreset;
-/// use ppdl_service::{PredictionService, ServiceConfig};
-///
-/// let bundle = TrainedBundle::train(
-///     IbmPgPreset::Ibmpg1,
-///     0.01,
-///     3,
-///     DlFlowConfig::fast(),
-///     None,
-/// )
-/// .unwrap();
-/// let mut service = PredictionService::new(bundle, ServiceConfig::default()).unwrap();
-/// service.enqueue(PredictRequest::new("q1")).unwrap();
-/// let replies = service.flush();
-/// assert_eq!(replies.len(), 1);
-/// assert!(replies[0].result.is_ok());
-/// ```
-#[derive(Debug)]
-pub struct PredictionService {
-    core: ServiceCore,
-    queue: Vec<PredictRequest>,
-}
-
-impl PredictionService {
-    /// Builds a service from a validated bundle: the base design is
-    /// regenerated once here and kept resident, so serving never
-    /// re-runs generation, calibration, sizing, or training.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bundle validation and base-instantiation errors.
-    pub fn new(bundle: TrainedBundle, config: ServiceConfig) -> Result<Self, ServiceError> {
-        Ok(Self {
-            core: ServiceCore::new(bundle, config)?,
-            queue: Vec::new(),
-        })
-    }
-
-    /// The loaded bundle.
-    #[must_use]
-    pub fn bundle(&self) -> &TrainedBundle {
-        self.core.bundle()
-    }
-
-    /// The resident base design queries are answered against.
-    #[must_use]
-    pub fn base(&self) -> &SyntheticBenchmark {
-        self.core.base()
-    }
-
-    /// The service configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServiceConfig {
-        self.core.config()
-    }
-
-    /// Requests currently queued.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Counter snapshot, reconstructed from the telemetry registry.
-    #[must_use]
-    pub fn stats(&self) -> ServiceStats {
-        self.core.stats()
-    }
-
-    /// The per-instance telemetry registry backing the stats: the
-    /// `service/…` counters, the `service/batch_ms` histogram, and the
-    /// `service/flush` span.
-    #[must_use]
-    pub fn registry(&self) -> &ppdl_obs::Registry {
-        self.core.obs()
-    }
-
-    /// Accepts a request into the bounded queue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::QueueFull`] when the queue is at
-    /// capacity — the backpressure signal; [`flush`](Self::flush) and
-    /// retry — and [`ServiceError::Overloaded`] when the core's
-    /// admission bound is hit.
-    pub fn enqueue(&mut self, request: PredictRequest) -> Result<(), ServiceError> {
-        if self.queue.len() >= self.core.config().queue_capacity {
-            return Err(ServiceError::QueueFull {
-                capacity: self.core.config().queue_capacity,
-            });
-        }
-        self.core.admit()?;
-        self.queue.push(request);
-        Ok(())
-    }
-
-    /// Drains the queue: consults the response cache, executes the
-    /// misses in parallel batches of at most `max_batch` through the
-    /// shared [`ppdl_core::predict`] entry point, and returns one reply
-    /// per request in enqueue order. Per-request failures become typed
-    /// error replies; flush itself never fails.
-    pub fn flush(&mut self) -> Vec<ServiceReply> {
-        // ppdl-lint: allow(determinism/wall-clock) -- feeds only the latency histogram/span; never touches prediction values
-        let flush_start = Instant::now();
-        let mut replies = Vec::with_capacity(self.queue.len());
-        while !self.queue.is_empty() {
-            let n = self.queue.len().min(self.core.config().max_batch.max(1));
-            let batch: Vec<PredictRequest> = self.queue.drain(..n).collect();
-            replies.extend(self.core.run_batch(&batch));
-            self.core.release(batch.len());
-        }
-        if !replies.is_empty() {
-            self.core
-                .obs()
-                .record_span("service/flush", flush_start.elapsed().as_secs_f64());
-        }
-        replies
-    }
-
-    /// The JSON stats snapshot the wire protocol's `{"cmd":"stats"}`
-    /// command returns: per-batch latency, lifetime throughput, cache
-    /// hits, queue depth, and batch-latency percentiles. The legacy
-    /// keys keep their order; `cache_collisions` (verified-cache misses
-    /// from fingerprint collisions) and `pending` (admission gauge)
-    /// extend the object at the end.
-    #[must_use]
-    pub fn stats_json(&self) -> String {
-        format!(
-            "{{\"status\":\"stats\",{}}}",
-            self.core.stats_body(self.queue.len())
-        )
-    }
-
-    /// The full telemetry snapshot the wire protocol's
-    /// `{"cmd":"stats","spans":true}` command returns: the service's
-    /// own registry plus the process-wide [`ppdl_obs::global`] registry
-    /// (which is empty unless `--telemetry` enabled global collection).
-    #[must_use]
-    pub fn telemetry_json(&self) -> String {
-        format!(
-            "{{\"status\":\"telemetry\",\"service\":{},\"global\":{}}}",
-            self.core.obs().snapshot_json(),
-            ppdl_obs::global().snapshot_json()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppdl_core::{DlFlowConfig, Perturbation, PerturbationKind};
     use ppdl_netlist::IbmPgPreset;
+    use std::sync::Arc;
 
-    fn service() -> PredictionService {
+    /// A one-bundle registry, a session on it (the shape `ppdl serve`
+    /// runs on stdio), and the core whose counters the assertions read.
+    fn service_with(config: ServiceConfig) -> (Arc<ModelRegistry>, Session, Arc<ServiceCore>) {
         let bundle =
             TrainedBundle::train(IbmPgPreset::Ibmpg1, 0.01, 3, DlFlowConfig::fast(), None).unwrap();
-        PredictionService::new(bundle, ServiceConfig::default()).unwrap()
+        let registry = Arc::new(ModelRegistry::new(config));
+        registry.install("m", bundle).unwrap();
+        let core = registry.get("m").unwrap();
+        let session = registry.session();
+        (registry, session, core)
+    }
+
+    fn service() -> (Arc<ModelRegistry>, Session, Arc<ServiceCore>) {
+        service_with(ServiceConfig::default())
     }
 
     fn request(id: &str, seed: u64) -> PredictRequest {
@@ -782,9 +640,9 @@ mod tests {
 
     #[test]
     fn batch_replies_in_order_and_counted() {
-        let mut s = service();
+        let (_, mut s, core) = service();
         for i in 0..5 {
-            s.enqueue(request(&format!("q{i}"), i)).unwrap();
+            s.enqueue(None, request(&format!("q{i}"), i)).unwrap();
         }
         let replies = s.flush();
         assert_eq!(replies.len(), 5);
@@ -794,7 +652,7 @@ mod tests {
             assert!(resp.worst_ir_mv > 0.0);
             assert!(!resp.widths.is_empty());
         }
-        let st = s.stats();
+        let st = core.stats();
         assert_eq!(st.requests, 5);
         assert_eq!(st.ok, 5);
         assert_eq!(st.errors, 0);
@@ -806,19 +664,19 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_inference() {
-        let mut s = service();
+        let (_, mut s, core) = service();
         let reqs: Vec<PredictRequest> =
             (0..4).map(|i| request(&format!("q{i}"), 100 + i)).collect();
         for r in &reqs {
-            s.enqueue(r.clone()).unwrap();
+            s.enqueue(None, r.clone()).unwrap();
         }
         let replies = s.flush();
         for (reply, req) in replies.iter().zip(&reqs) {
             let direct = predict(
-                &s.bundle().predictor,
-                s.base(),
+                &core.bundle().predictor,
+                core.base(),
                 req,
-                s.bundle().meta.inference_stride,
+                core.bundle().meta.inference_stride,
             )
             .unwrap();
             let got = reply.result.as_ref().unwrap();
@@ -829,11 +687,11 @@ mod tests {
 
     #[test]
     fn cache_hits_repeat_payloads() {
-        let mut s = service();
-        s.enqueue(request("first", 9)).unwrap();
+        let (_, mut s, core) = service();
+        s.enqueue(None, request("first", 9)).unwrap();
         let a = s.flush();
         // Same payload, different id: must be a cache hit with the new id.
-        s.enqueue(request("second", 9)).unwrap();
+        s.enqueue(None, request("second", 9)).unwrap();
         let b = s.flush();
         assert!(!a[0].cached);
         assert!(b[0].cached);
@@ -842,79 +700,70 @@ mod tests {
             a[0].result.as_ref().unwrap().widths,
             b[0].result.as_ref().unwrap().widths
         );
-        assert_eq!(s.stats().cache_hits, 1);
-        assert_eq!(s.stats().cache_collisions, 0);
+        assert_eq!(core.stats().cache_hits, 1);
+        assert_eq!(core.stats().cache_collisions, 0);
     }
 
     #[test]
     fn backpressure_and_recovery() {
-        let bundle =
-            TrainedBundle::train(IbmPgPreset::Ibmpg1, 0.01, 3, DlFlowConfig::fast(), None).unwrap();
-        let mut s = PredictionService::new(
-            bundle,
-            ServiceConfig {
-                queue_capacity: 2,
-                max_batch: 1,
-                cache_capacity: 0,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        s.enqueue(request("a", 1)).unwrap();
-        s.enqueue(request("b", 2)).unwrap();
-        let err = s.enqueue(request("c", 3)).unwrap_err();
+        let (_, mut s, core) = service_with(ServiceConfig {
+            queue_capacity: 2,
+            max_batch: 1,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
+        s.enqueue(None, request("a", 1)).unwrap();
+        s.enqueue(None, request("b", 2)).unwrap();
+        let err = s.enqueue(None, request("c", 3)).unwrap_err();
         assert_eq!(err.code(), "service/queue_full");
         // max_batch=1 still drains the whole queue across two batches.
         let replies = s.flush();
         assert_eq!(replies.len(), 2);
-        assert_eq!(s.stats().batches, 2);
+        assert_eq!(core.stats().batches, 2);
         // After flushing there is room again.
-        s.enqueue(request("c", 3)).unwrap();
+        s.enqueue(None, request("c", 3)).unwrap();
         assert_eq!(s.queue_depth(), 1);
     }
 
     #[test]
     fn admission_control_refuses_past_max_pending() {
-        let bundle =
-            TrainedBundle::train(IbmPgPreset::Ibmpg1, 0.01, 3, DlFlowConfig::fast(), None).unwrap();
-        let mut s = PredictionService::new(
-            bundle,
-            ServiceConfig {
-                queue_capacity: 64,
-                max_pending: 3,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let (_, mut s, core) = service_with(ServiceConfig {
+            queue_capacity: 64,
+            max_pending: 3,
+            ..ServiceConfig::default()
+        });
         for i in 0..3 {
-            s.enqueue(request(&format!("q{i}"), i)).unwrap();
+            s.enqueue(None, request(&format!("q{i}"), i)).unwrap();
         }
-        let err = s.enqueue(request("q3", 3)).unwrap_err();
+        let err = s.enqueue(None, request("q3", 3)).unwrap_err();
         assert_eq!(err.code(), "service/overloaded");
-        assert_eq!(s.stats().pending, 3);
+        assert_eq!(core.stats().pending, 3);
         // The refused request was not counted as admitted.
-        assert_eq!(s.stats().requests, 3);
+        assert_eq!(core.stats().requests, 3);
         // Flushing drains the gauge and admission recovers.
         let replies = s.flush();
         assert_eq!(replies.len(), 3);
-        assert_eq!(s.stats().pending, 0);
-        s.enqueue(request("q4", 4)).unwrap();
+        assert_eq!(core.stats().pending, 0);
+        s.enqueue(None, request("q4", 4)).unwrap();
     }
 
     #[test]
     fn per_request_errors_are_typed_not_fatal() {
-        let mut s = service();
-        let n_loads = s.base().network().current_loads().len();
-        s.enqueue(PredictRequest::new("bad").with_load_override(n_loads + 7, 1e-6))
-            .unwrap();
-        s.enqueue(request("good", 4)).unwrap();
+        let (_, mut s, core) = service();
+        let n_loads = core.base().network().current_loads().len();
+        s.enqueue(
+            None,
+            PredictRequest::new("bad").with_load_override(n_loads + 7, 1e-6),
+        )
+        .unwrap();
+        s.enqueue(None, request("good", 4)).unwrap();
         let replies = s.flush();
         assert_eq!(replies.len(), 2);
         let bad = replies[0].result.as_ref().unwrap_err();
         assert_eq!(bad.code(), "core/invalid_config");
         assert!(replies[1].result.is_ok());
-        assert_eq!(s.stats().errors, 1);
-        assert_eq!(s.stats().ok, 1);
+        assert_eq!(core.stats().errors, 1);
+        assert_eq!(core.stats().ok, 1);
     }
 
     #[test]
@@ -923,30 +772,24 @@ mod tests {
         // flushing on backpressure exactly as the serve loop does, and
         // check every counter adds up afterwards. Seeds repeat (i % 5)
         // so the second half of the burst is served from the cache.
-        let bundle =
-            TrainedBundle::train(IbmPgPreset::Ibmpg1, 0.01, 3, DlFlowConfig::fast(), None).unwrap();
-        let mut s = PredictionService::new(
-            bundle,
-            ServiceConfig {
-                queue_capacity: 4,
-                max_batch: 2,
-                cache_capacity: 16,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let (registry, mut s, core) = service_with(ServiceConfig {
+            queue_capacity: 4,
+            max_batch: 2,
+            cache_capacity: 16,
+            ..ServiceConfig::default()
+        });
         let mut replies = Vec::new();
         for i in 0..10u64 {
-            if s.queue_depth() >= s.config().queue_capacity {
+            if s.queue_depth() >= registry.config().queue_capacity {
                 replies.extend(s.flush());
             }
-            s.enqueue(request(&format!("r{i}"), i % 5)).unwrap();
+            s.enqueue(None, request(&format!("r{i}"), i % 5)).unwrap();
         }
         replies.extend(s.flush());
 
         assert_eq!(replies.len(), 10);
         assert_eq!(s.queue_depth(), 0);
-        let st = s.stats();
+        let st = core.stats();
         assert_eq!(st.requests, 10);
         assert_eq!(st.ok, 10);
         assert_eq!(st.errors, 0);
@@ -956,7 +799,7 @@ mod tests {
         assert_eq!(st.batches, 5);
         // The latency histogram records one sample per *batch*, never
         // per request.
-        let telemetry = Json::parse(&s.telemetry_json()).unwrap();
+        let telemetry = Json::parse(&registry.telemetry_json()).unwrap();
         let batch_ms = telemetry
             .get("service")
             .and_then(|v| v.get("histograms"))
@@ -1056,18 +899,18 @@ mod tests {
     fn collision_counter_reaches_the_stats() {
         // End-to-end through a service: same gamma/kind/seed payloads
         // hit, and the collision counter surfaces in the stats JSON.
-        let s = service();
-        let v = Json::parse(&s.stats_json()).unwrap();
+        let (registry, _, _) = service();
+        let v = Json::parse(&registry.stats_json()).unwrap();
         assert_eq!(v.get("cache_collisions").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("pending").unwrap().as_u64(), Some(0));
     }
 
     #[test]
     fn stats_json_is_parseable() {
-        let mut s = service();
-        s.enqueue(request("q", 5)).unwrap();
+        let (registry, mut s, _) = service();
+        s.enqueue(None, request("q", 5)).unwrap();
         let _ = s.flush();
-        let v = Json::parse(&s.stats_json()).unwrap();
+        let v = Json::parse(&registry.stats_json()).unwrap();
         assert_eq!(v.get("status").unwrap().as_str(), Some("stats"));
         assert_eq!(v.get("ok").unwrap().as_u64(), Some(1));
         assert!(v.get("throughput_rps").unwrap().as_f64().unwrap() > 0.0);
@@ -1080,8 +923,8 @@ mod tests {
 
     #[test]
     fn percentiles_are_null_before_first_batch() {
-        let s = service();
-        let v = Json::parse(&s.stats_json()).unwrap();
+        let (registry, _, _) = service();
+        let v = Json::parse(&registry.stats_json()).unwrap();
         assert_eq!(v.get("p50_ms"), Some(&Json::Null));
         assert_eq!(v.get("p99_ms"), Some(&Json::Null));
     }

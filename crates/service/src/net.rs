@@ -2,21 +2,22 @@
 //! NDJSON protocol against a [`ModelRegistry`].
 //!
 //! One OS thread per connection (scoped, so the listener owns their
-//! lifetime), each running the same command loop as the stdin mode but
-//! routed through a registry [`Session`]: requests may name a
+//! lifetime), each running the crate's one command loop (the same one
+//! [`serve_ndjson`](crate::serve_ndjson) runs on stdin/stdout) with its
+//! own registry [`Session`](crate::Session): requests may name a
 //! `bundle`, `{"cmd":"load",...}` hot-swaps a bundle for *every*
 //! client, and `{"cmd":"shutdown"}` stops the whole listener after the
 //! in-flight work drains. Admission is enforced twice: per-connection
 //! at `max_clients` (excess connections get one typed
-//! `service/overloaded` line and are closed) and per-bundle via
-//! [`ServiceCore::admit`](crate::ServiceCore::admit) (saturated
-//! bundles answer `service/overloaded` per request).
+//! `service/overloaded` line and are closed) and per-bundle by the
+//! core's admission gauge (`max_pending`; saturated bundles answer
+//! `service/overloaded` per request).
 //!
 //! Shutdown is cooperative: the accept loop runs the listener in
 //! non-blocking mode and polls a shared flag; connection threads give
-//! their socket a short read timeout, so the byte-level
-//! [`LineReader`] yields `Pending` between frames and the handler
-//! re-checks the flag — no thread blocks forever on a dead peer.
+//! their socket a short read timeout, so the byte-level line reader
+//! yields `Pending` between frames and the command loop re-checks the
+//! flag — no thread blocks forever on a dead peer.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -25,10 +26,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::line::{LineEvent, LineReader};
-use crate::proto::{render_error, render_reply, salvage_id, Command};
-use crate::registry::{ModelRegistry, Session};
-use crate::{parse_line, ServiceError, ServiceReply};
+use crate::proto::{render_error, serve_session};
+use crate::registry::ModelRegistry;
+use crate::ServiceError;
 
 /// Listener tuning knobs, separate from the per-bundle
 /// [`ServiceConfig`](crate::ServiceConfig).
@@ -37,17 +37,11 @@ pub struct NetConfig {
     /// Concurrent connections served; further ones get one typed
     /// `service/overloaded` line and are closed.
     pub max_clients: usize,
-    /// Cap on one NDJSON line in bytes; longer lines get a typed
-    /// `service/json` error and are discarded up to the newline.
-    pub max_line_bytes: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self {
-            max_clients: 32,
-            max_line_bytes: crate::line::DEFAULT_MAX_LINE_BYTES,
-        }
+        Self { max_clients: 32 }
     }
 }
 
@@ -176,11 +170,9 @@ fn serve_listener<L: NetListener>(
                         continue;
                     }
                     active.fetch_add(1, Ordering::AcqRel);
-                    let session = registry.session();
-                    let max_line_bytes = config.max_line_bytes;
                     let (shutdown, active) = (&shutdown, &active);
                     scope.spawn(move || {
-                        let _ = handle_connection::<L>(session, stream, max_line_bytes, shutdown);
+                        let _ = handle_connection::<L>(registry, stream, shutdown);
                         active.fetch_sub(1, Ordering::AcqRel);
                     });
                 }
@@ -194,107 +186,17 @@ fn serve_listener<L: NetListener>(
     })
 }
 
-/// Emits replies followed by a flush, so clients waiting line-by-line
-/// never stall on a buffered response.
-fn emit<W: Write>(replies: &[ServiceReply], out: &mut W) -> io::Result<()> {
-    for reply in replies {
-        writeln!(out, "{}", render_reply(reply))?;
-    }
-    out.flush()
-}
-
-/// One connection's command loop: the registry-routed twin of
-/// `proto::serve_ndjson`.
+/// One connection: reads through a clone of the stream with a short
+/// timeout (so the loop can poll `shutdown`) and writes replies to the
+/// original.
 fn handle_connection<L: NetListener>(
-    mut session: Session,
+    registry: &Arc<ModelRegistry>,
     mut stream: L::Stream,
-    max_line_bytes: usize,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
     L::set_read_timeout(&stream, Some(POLL_INTERVAL))?;
-    let mut reader = LineReader::new(L::clone_stream(&stream)?, max_line_bytes);
-    let out = &mut stream;
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let line = match reader.next_event() {
-            LineEvent::Line(line) => line,
-            LineEvent::Refused { detail } => {
-                writeln!(out, "{}", render_error("", &ServiceError::Json { detail }))?;
-                out.flush()?;
-                continue;
-            }
-            LineEvent::Pending => continue,
-            LineEvent::Eof => break,
-            LineEvent::Io(e) => {
-                // Answer what was accepted before surfacing the
-                // transport error (the write may fail too — the
-                // session's Drop still releases the admission slots).
-                let replies = session.flush();
-                let _ = emit(&replies, out);
-                return Err(e);
-            }
-        };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Ok(Command::Request { bundle, request }) => {
-                if session.queue_depth() >= session.registry().config().queue_capacity {
-                    let replies = session.flush();
-                    emit(&replies, out)?;
-                }
-                let id = request.id.clone();
-                if let Err(e) = session.enqueue(bundle.as_deref(), request) {
-                    // service/unknown_bundle and service/overloaded
-                    // land here as typed replies carrying the id.
-                    writeln!(out, "{}", render_error(&id, &e))?;
-                    out.flush()?;
-                }
-            }
-            Ok(Command::Flush) => {
-                let replies = session.flush();
-                emit(&replies, out)?;
-            }
-            Ok(Command::Stats { spans }) => {
-                let snapshot = if spans {
-                    session.registry().telemetry_json()
-                } else {
-                    session.registry().stats_json()
-                };
-                writeln!(out, "{snapshot}")?;
-                out.flush()?;
-            }
-            Ok(Command::Load { bundle, path }) => {
-                let reply = match session.registry().install_path(&bundle, &path) {
-                    Ok(()) => format!(
-                        "{{\"status\":\"loaded\",\"bundle\":{}}}",
-                        ppdl_core::pipeline::json_string(&bundle)
-                    ),
-                    Err(e) => render_error("", &e),
-                };
-                writeln!(out, "{reply}")?;
-                out.flush()?;
-            }
-            Ok(Command::Bundles) => {
-                writeln!(out, "{}", session.registry().bundles_json())?;
-                out.flush()?;
-            }
-            Ok(Command::Quit) => break,
-            Ok(Command::Shutdown) => {
-                shutdown.store(true, Ordering::Release);
-                break;
-            }
-            Err(e) => {
-                writeln!(out, "{}", render_error(&salvage_id(line), &e))?;
-                out.flush()?;
-            }
-        }
-    }
-    let replies = session.flush();
-    emit(&replies, out)
+    let input = L::clone_stream(&stream)?;
+    serve_session(registry, input, &mut stream, shutdown)
 }
 
 #[cfg(test)]
@@ -382,7 +284,7 @@ mod tests {
 
         // Malformed + oversized + unknown-bundle lines produce typed
         // errors on a live connection.
-        let big = "x".repeat(2 * NetConfig::default().max_line_bytes);
+        let big = "x".repeat(2 * crate::line::DEFAULT_MAX_LINE_BYTES);
         let input = format!(
             "not json\n{big}\n{{\"id\":\"ghost\",\"bundle\":\"nope\",\"gamma\":0.1}}\n{{\"cmd\":\"quit\"}}\n"
         );
@@ -450,13 +352,7 @@ mod tests {
     #[test]
     fn connection_limit_refuses_with_typed_error() {
         let registry = registry();
-        let (addr, handle) = spawn_server(
-            Arc::clone(&registry),
-            NetConfig {
-                max_clients: 1,
-                ..NetConfig::default()
-            },
-        );
+        let (addr, handle) = spawn_server(Arc::clone(&registry), NetConfig { max_clients: 1 });
         // Occupy the only slot with an idle connection.
         let mut first = TcpStream::connect(addr).unwrap();
         first.write_all(b"{\"cmd\":\"bundles\"}\n").unwrap();

@@ -17,9 +17,9 @@
 //!
 //! * `id` (required, string) — echoed in the reply.
 //! * `bundle` (optional, string) — which registered bundle answers the
-//!   request. Only meaningful against the multi-bundle registry
-//!   listener (`ppdl serve --listen`/`--unix`); the single-bundle
-//!   stdin/stdout mode rejects it with `service/unknown_bundle`.
+//!   request; without it the request goes to the default bundle (the
+//!   first installed). An unknown name is a typed
+//!   `service/unknown_bundle` reply carrying the request's `id`.
 //! * `gamma` (optional, number in `(0,1)`) — §IV-D perturbation size;
 //!   `kind` (`voltages`|`loads`|`both`, default `both`) and `seed`
 //!   (integer, default 1) refine it.
@@ -29,17 +29,23 @@
 //!
 //! Replies are `{"id":…,"status":"ok","worst_ir_mv":…,"dl_ms":…,
 //! "cached":…,"widths":[…]}` or `{"id":…,"status":"error","code":…,
-//! "detail":…}`; `{"cmd":"stats"}` answers with the service's
-//! [`stats_json`](crate::PredictionService::stats_json) snapshot
-//! (`"status":"stats"`), and `{"cmd":"stats","spans":true}` with the
-//! full [`telemetry_json`](crate::PredictionService::telemetry_json)
+//! "detail":…}`; `{"cmd":"stats"}` answers with the registry's
+//! [`stats_json`](crate::ModelRegistry::stats_json) snapshot
+//! (`"status":"stats"`: the default bundle's counters at the top level,
+//! every bundle's under `bundles`), and `{"cmd":"stats","spans":true}`
+//! with the full [`telemetry_json`](crate::ModelRegistry::telemetry_json)
 //! span/histogram dump (`"status":"telemetry"`). Requests accumulate
-//! in the bounded queue and execute as one parallel batch on `flush`,
-//! on `quit`, at end of input, or when the queue reaches capacity
-//! (backpressure flushes rather than drops). `{"cmd":"load"}` and
-//! `{"cmd":"bundles"}` manage the registry in listener mode (hot-swap
-//! a bundle / list the resident ones); `{"cmd":"shutdown"}` stops the
-//! whole listener (in stdin mode it is equivalent to `quit`).
+//! in the session's bounded queue and execute as parallel batches on
+//! `flush`, on `quit`, at end of input, or when the queue reaches
+//! capacity (backpressure flushes rather than drops).
+//! `{"cmd":"load"}` hot-swaps (or adds) a bundle for every session on
+//! the registry, `{"cmd":"bundles"}` lists the resident ones, `quit`
+//! ends this stream, and `{"cmd":"shutdown"}` also stops the listener
+//! that accepted it (on stdin/stdout the two are the same).
+//!
+//! Every transport runs the one command loop here — [`serve_ndjson`]
+//! over stdin/stdout and each [`net`](crate::net) connection — with one
+//! registry [`Session`](crate::Session) per stream.
 //!
 //! Malformed lines produce an error reply and the loop keeps serving;
 //! lines nesting JSON containers beyond [`MAX_DEPTH`](crate::MAX_DEPTH)
@@ -51,7 +57,9 @@
 //! and a transport error still flushes everything already queued before
 //! surfacing — no accepted request is ever silently dropped.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use ppdl_core::pipeline::{json_number, json_string};
 use ppdl_core::predict::{parse_kind, PredictRequest};
@@ -59,7 +67,8 @@ use ppdl_core::Perturbation;
 
 use crate::json::{Json, JsonError};
 use crate::line::{LineEvent, LineReader, DEFAULT_MAX_LINE_BYTES};
-use crate::{PredictionService, ServiceError, ServiceReply};
+use crate::registry::ModelRegistry;
+use crate::{ServiceError, ServiceReply};
 
 /// One parsed protocol line.
 #[derive(Debug, Clone)]
@@ -250,62 +259,71 @@ pub fn render_error(id: &str, error: &ServiceError) -> String {
     )
 }
 
-fn emit_replies(replies: &[ServiceReply], output: &mut impl Write) -> io::Result<()> {
-    for reply in replies {
-        writeln!(output, "{}", render_reply(reply))?;
+/// Writes reply lines, then flushes, so a client waiting line by line
+/// never stalls on a buffered response.
+fn emit(out: &mut impl Write, lines: impl IntoIterator<Item = String>) -> io::Result<()> {
+    for line in lines {
+        writeln!(out, "{line}")?;
     }
-    output.flush()
+    out.flush()
 }
 
 /// Extracts the `id` of a line that failed to parse as a command, so
 /// the typed error reply can still be correlated by the client.
-pub(crate) fn salvage_id(line: &str) -> String {
+fn salvage_id(line: &str) -> String {
     Json::parse(line)
         .ok()
         .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_default()
 }
 
-/// Serves the NDJSON protocol over any reader/writer pair until
-/// `{"cmd":"quit"}`/`{"cmd":"shutdown"}` or end of input; pending
-/// requests are flushed at both. Malformed or failing requests yield
-/// `"status":"error"` lines — this loop itself only fails on transport
-/// I/O errors, and even then it flushes everything already queued
-/// before surfacing the error, so no accepted request is dropped.
-///
-/// This is the single-bundle stdin/stdout mode: requests naming a
-/// `bundle` and the registry commands (`load`, `bundles`) are answered
-/// with typed errors pointing at the `--listen` registry mode.
+/// Serves the NDJSON protocol over stdin/stdout-style streams: one
+/// session on `registry` until `{"cmd":"quit"}`/`{"cmd":"shutdown"}`
+/// or end of input; pending requests are flushed at both. Malformed or
+/// failing requests yield `"status":"error"` lines — this loop itself
+/// only fails on transport I/O errors, and even then it flushes
+/// everything already queued before surfacing the error, so no
+/// accepted request is dropped.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `input`/`output`.
 pub fn serve_ndjson(
-    service: &mut PredictionService,
-    input: impl BufRead,
+    registry: &Arc<ModelRegistry>,
+    input: impl Read,
     output: &mut impl Write,
 ) -> io::Result<()> {
+    serve_session(registry, input, output, &AtomicBool::new(false))
+}
+
+/// The crate's one command loop, run by [`serve_ndjson`] and by every
+/// listener connection: one [`Session`](crate::Session) on `registry`
+/// for the whole stream. It stops at `quit`, end of input, or once
+/// `stop` is set; `shutdown` sets `stop` first, which a listener shares
+/// between its connections. A `Pending` read (a socket read timeout)
+/// just re-checks `stop`.
+pub(crate) fn serve_session(
+    registry: &Arc<ModelRegistry>,
+    input: impl Read,
+    out: &mut impl Write,
+    stop: &AtomicBool,
+) -> io::Result<()> {
+    let mut session = registry.session();
     let mut reader = LineReader::new(input, DEFAULT_MAX_LINE_BYTES);
-    loop {
+    while !stop.load(Ordering::Acquire) {
         let line = match reader.next_event() {
             LineEvent::Line(line) => line,
             LineEvent::Refused { detail } => {
-                writeln!(
-                    output,
-                    "{}",
-                    render_error("", &ServiceError::Json { detail })
-                )?;
-                output.flush()?;
+                emit(out, [render_error("", &ServiceError::Json { detail })])?;
                 continue;
             }
-            // Stdin is blocking, but a caller may hand us a stream
-            // with a read timeout; just keep reading.
             LineEvent::Pending => continue,
             LineEvent::Eof => break,
             LineEvent::Io(e) => {
-                // Answer what was accepted before dying on transport.
-                let replies = service.flush();
-                emit_replies(&replies, output)?;
+                // Answer what was accepted before surfacing the
+                // transport error (the write may fail too — the
+                // session's Drop still releases the admission slots).
+                let _ = emit(out, session.flush().iter().map(render_reply));
                 return Err(e);
             }
         };
@@ -314,89 +332,80 @@ pub fn serve_ndjson(
             continue;
         }
         match parse_line(line) {
-            Ok(Command::Request {
-                bundle: None,
-                request,
-            }) => {
+            Ok(Command::Request { bundle, request }) => {
                 // Backpressure: a full queue flushes (emitting replies
                 // in arrival order) instead of dropping the request.
-                if service.queue_depth() >= service.config().queue_capacity {
-                    let replies = service.flush();
-                    emit_replies(&replies, output)?;
+                if session.queue_depth() >= registry.config().queue_capacity {
+                    emit(out, session.flush().iter().map(render_reply))?;
                 }
-                if let Err(e) = service.enqueue(request) {
-                    // Reachable through admission control (the queue
-                    // pre-flush covers queue_full): a typed reply, not
-                    // a drop.
-                    writeln!(output, "{}", render_error("", &e))?;
-                    output.flush()?;
+                let id = request.id.clone();
+                if let Err(e) = session.enqueue(bundle.as_deref(), request) {
+                    // service/unknown_bundle and service/overloaded
+                    // land here as typed replies carrying the id.
+                    emit(out, [render_error(&id, &e)])?;
                 }
             }
-            Ok(Command::Request {
-                bundle: Some(bundle),
-                request,
-            }) => {
-                // One process, one bundle: routing needs the registry
-                // listener.
-                let e = ServiceError::UnknownBundle { bundle };
-                writeln!(output, "{}", render_error(&request.id, &e))?;
-                output.flush()?;
-            }
-            Ok(Command::Load { .. } | Command::Bundles) => {
-                let e = ServiceError::Malformed {
-                    detail: "registry commands need the listener mode (ppdl serve --listen)"
-                        .to_string(),
-                };
-                writeln!(output, "{}", render_error("", &e))?;
-                output.flush()?;
-            }
-            Ok(Command::Flush) => {
-                let replies = service.flush();
-                emit_replies(&replies, output)?;
-            }
+            Ok(Command::Flush) => emit(out, session.flush().iter().map(render_reply))?,
             Ok(Command::Stats { spans }) => {
                 let snapshot = if spans {
-                    service.telemetry_json()
+                    registry.telemetry_json()
                 } else {
-                    service.stats_json()
+                    registry.stats_json()
                 };
-                writeln!(output, "{snapshot}")?;
-                output.flush()?;
+                emit(out, [snapshot])?;
             }
-            Ok(Command::Quit | Command::Shutdown) => break,
-            Err(e) => {
-                writeln!(output, "{}", render_error(&salvage_id(line), &e))?;
-                output.flush()?;
+            Ok(Command::Load { bundle, path }) => {
+                let reply = match registry.install_path(&bundle, &path) {
+                    Ok(()) => format!(
+                        "{{\"status\":\"loaded\",\"bundle\":{}}}",
+                        json_string(&bundle)
+                    ),
+                    Err(e) => render_error("", &e),
+                };
+                emit(out, [reply])?;
             }
+            Ok(Command::Bundles) => emit(out, [registry.bundles_json()])?,
+            Ok(Command::Quit) => break,
+            Ok(Command::Shutdown) => {
+                stop.store(true, Ordering::Release);
+                break;
+            }
+            Err(e) => emit(out, [render_error(&salvage_id(line), &e)])?,
         }
     }
-    let replies = service.flush();
-    emit_replies(&replies, output)
+    emit(out, session.flush().iter().map(render_reply))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ServiceConfig;
-    use ppdl_core::predict::TrainedBundle;
-    use ppdl_core::DlFlowConfig;
+    use ppdl_core::predict::{predict, TrainedBundle};
+    use ppdl_core::{DlFlowConfig, PerturbationKind};
     use ppdl_netlist::IbmPgPreset;
 
-    fn service() -> PredictionService {
+    /// A registry holding one bundle named `m`, as `ppdl serve --bundle
+    /// m.bundle` builds it.
+    fn one_bundle(config: ServiceConfig) -> Arc<ModelRegistry> {
         let bundle =
             TrainedBundle::train(IbmPgPreset::Ibmpg1, 0.01, 3, DlFlowConfig::fast(), None).unwrap();
-        PredictionService::new(bundle, ServiceConfig::default()).unwrap()
+        let registry = Arc::new(ModelRegistry::new(config));
+        registry.install("m", bundle).unwrap();
+        registry
     }
 
-    fn serve(input: &str) -> Vec<Json> {
-        let mut s = service();
+    fn serve_on(registry: &Arc<ModelRegistry>, input: &str) -> Vec<Json> {
         let mut out = Vec::new();
-        serve_ndjson(&mut s, input.as_bytes(), &mut out).unwrap();
+        serve_ndjson(registry, input.as_bytes(), &mut out).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
             .map(|l| Json::parse(l).unwrap())
             .collect()
+    }
+
+    fn serve(input: &str) -> Vec<Json> {
+        serve_on(&one_bundle(ServiceConfig::default()), input)
     }
 
     #[test]
@@ -602,9 +611,9 @@ mod tests {
         let mut input: Vec<u8> = b"{\"id\":\"before\",\"gamma\":0.1,\"seed\":3}\n".to_vec();
         input.extend_from_slice(&[0xff, 0xfe, b'\n']);
         input.extend_from_slice(b"{\"id\":\"after\",\"gamma\":0.1,\"seed\":4}\n");
-        let mut s = service();
+        let registry = one_bundle(ServiceConfig::default());
         let mut out = Vec::new();
-        serve_ndjson(&mut s, &input[..], &mut out).unwrap();
+        serve_ndjson(&registry, &input[..], &mut out).unwrap();
         let replies: Vec<Json> = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -649,9 +658,9 @@ mod tests {
             ),
             done: false,
         });
-        let mut s = service();
+        let registry = one_bundle(ServiceConfig::default());
         let mut out = Vec::new();
-        let err = serve_ndjson(&mut s, reader, &mut out).unwrap_err();
+        let err = serve_ndjson(&registry, reader, &mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         let replies: Vec<Json> = String::from_utf8(out)
             .unwrap()
@@ -664,27 +673,104 @@ mod tests {
     }
 
     #[test]
-    fn registry_commands_are_typed_errors_in_stdio_mode() {
-        let replies = serve(concat!(
-            "{\"id\":\"routed\",\"bundle\":\"other\",\"gamma\":0.1}\n",
-            "{\"cmd\":\"load\",\"bundle\":\"b\",\"path\":\"x.bundle\"}\n",
-            "{\"cmd\":\"bundles\"}\n",
-            "{\"cmd\":\"shutdown\"}\n",
-        ));
-        assert_eq!(replies.len(), 3);
-        assert_eq!(
-            replies[0].get("code").unwrap().as_str(),
-            Some("service/unknown_bundle")
+    fn registry_commands_work_on_a_one_bundle_stdio_session() {
+        let registry = one_bundle(ServiceConfig::default());
+        let core = registry.get("m").unwrap();
+        let dir = std::env::temp_dir().join(format!("ppdl_proto_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let saved = dir.join("m2.bundle");
+        core.bundle().save(&saved).unwrap();
+        let input = format!(
+            concat!(
+                "{{\"cmd\":\"bundles\"}}\n",
+                "{{\"id\":\"routed\",\"bundle\":\"m\",\"gamma\":0.1,\"seed\":5}}\n",
+                "{{\"id\":\"ghost\",\"bundle\":\"other\",\"gamma\":0.1}}\n",
+                "{{\"cmd\":\"flush\"}}\n",
+                "{{\"cmd\":\"load\",\"bundle\":\"m2\",\"path\":{}}}\n",
+                "{{\"cmd\":\"load\",\"bundle\":\"m3\",\"path\":{}}}\n",
+                "{{\"cmd\":\"shutdown\"}}\n",
+            ),
+            json_string(saved.to_str().unwrap()),
+            json_string(dir.join("missing.bundle").to_str().unwrap()),
         );
-        assert_eq!(replies[0].get("id").unwrap().as_str(), Some("routed"));
+        let replies = serve_on(&registry, &input);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(replies.len(), 5);
+
+        // `bundles` lists the one bundle as the default.
+        assert_eq!(replies[0].get("status").unwrap().as_str(), Some("bundles"));
+        assert_eq!(replies[0].get("default").unwrap().as_str(), Some("m"));
+        let listed = replies[0].get("bundles").unwrap();
+        assert!(matches!(listed, Json::Obj(entries) if entries.len() == 1));
+        assert!(listed.get("m").is_some());
+
+        // An unknown name is refused at once, carrying its id.
+        assert_eq!(replies[1].get("id").unwrap().as_str(), Some("ghost"));
         assert_eq!(
             replies[1].get("code").unwrap().as_str(),
-            Some("service/malformed")
+            Some("service/unknown_bundle")
         );
+
+        // The routed request is answered bit-equal to a direct predict.
+        assert_eq!(replies[2].get("id").unwrap().as_str(), Some("routed"));
+        let request = PredictRequest::new("routed")
+            .with_perturbation(Perturbation::new(0.1, PerturbationKind::Both, 5).unwrap());
+        let direct = predict(
+            &core.bundle().predictor,
+            core.base(),
+            &request,
+            core.bundle().meta.inference_stride,
+        )
+        .unwrap();
+        let widths: Vec<f64> = replies[2]
+            .get("widths")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|w| w.as_f64().unwrap())
+            .collect();
+        assert_eq!(widths, direct.response.widths);
         assert_eq!(
-            replies[2].get("code").unwrap().as_str(),
-            Some("service/malformed")
+            replies[2].get("worst_ir_mv").unwrap().as_f64(),
+            Some(direct.response.worst_ir_mv)
         );
+
+        // `load` installs a saved bundle, and a missing file is a typed
+        // core error rather than a dead process.
+        assert_eq!(replies[3].get("status").unwrap().as_str(), Some("loaded"));
+        assert_eq!(replies[3].get("bundle").unwrap().as_str(), Some("m2"));
+        assert!(registry.get("m2").is_some());
+        assert_eq!(replies[4].get("status").unwrap().as_str(), Some("error"));
+        assert_eq!(replies[4].get("code").unwrap().as_str(), Some("core/io"));
+        assert!(registry.get("m3").is_none());
+    }
+
+    #[test]
+    fn admission_refusal_carries_the_request_id() {
+        // Regression: the stdio loop rendered an admission refusal with
+        // an empty id, so the client could not tell which request failed.
+        let registry = one_bundle(ServiceConfig {
+            max_pending: 2,
+            ..ServiceConfig::default()
+        });
+        let replies = serve_on(
+            &registry,
+            concat!(
+                "{\"id\":\"q1\",\"gamma\":0.1,\"seed\":1}\n",
+                "{\"id\":\"q2\",\"gamma\":0.1,\"seed\":2}\n",
+                "{\"id\":\"q3\",\"gamma\":0.1,\"seed\":3}\n",
+            ),
+        );
+        assert_eq!(replies.len(), 3);
+        assert_eq!(replies[0].get("id").unwrap().as_str(), Some("q3"));
+        assert_eq!(
+            replies[0].get("code").unwrap().as_str(),
+            Some("service/overloaded")
+        );
+        // The admitted two are answered at end of input, in order.
+        assert_eq!(replies[1].get("id").unwrap().as_str(), Some("q1"));
+        assert_eq!(replies[2].get("id").unwrap().as_str(), Some("q2"));
     }
 
     #[test]

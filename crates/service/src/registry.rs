@@ -5,7 +5,9 @@
 //! *shared* artifact reused across designs; operationally that means
 //! one serving process holding several bundles (one per preset/scale,
 //! or an old and a new revision side by side) with clients naming the
-//! one they want. The registry is a `name → Arc<ServiceCore>` map:
+//! one they want. Every transport serves through it — stdin/stdout is
+//! one session over the same registry a listener shares between its
+//! connections. The registry is a `name → Arc<ServiceCore>` map:
 //!
 //! * **Routing** — [`Session::enqueue`] resolves the bundle name to
 //!   its current core *at enqueue time* and pins that `Arc`. A request
@@ -18,7 +20,7 @@
 //!   swap run on the new one. The old core is freed when its last
 //!   in-flight batch drops the reference.
 //! * **Admission control** — enqueueing reserves a slot on the pinned
-//!   core ([`ServiceCore::admit`]); saturation yields a typed
+//!   core (its `max_pending` gauge); saturation yields a typed
 //!   `service/overloaded` error instead of unbounded queueing, and the
 //!   reservation is released even if the session dies before flushing.
 
@@ -26,6 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use ppdl_core::pipeline::json_string;
 use ppdl_core::predict::{PredictRequest, TrainedBundle};
@@ -45,6 +48,32 @@ fn write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 /// A resident map of named serving cores; see the module docs.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+///
+/// use ppdl_core::{DlFlowConfig, PredictRequest, TrainedBundle};
+/// use ppdl_netlist::IbmPgPreset;
+/// use ppdl_service::{ModelRegistry, ServiceConfig};
+///
+/// let bundle = TrainedBundle::train(
+///     IbmPgPreset::Ibmpg1,
+///     0.01,
+///     3,
+///     DlFlowConfig::fast(),
+///     None,
+/// )
+/// .unwrap();
+/// let registry = Arc::new(ModelRegistry::new(ServiceConfig::default()));
+/// registry.install("m", bundle).unwrap();
+/// let mut session = registry.session();
+/// session.enqueue(None, PredictRequest::new("q1")).unwrap();
+/// let replies = session.flush();
+/// assert_eq!(replies.len(), 1);
+/// assert!(replies[0].result.is_ok());
+/// ```
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     config: ServiceConfig,
@@ -107,34 +136,18 @@ impl ModelRegistry {
         read(&self.cores).get(name).map(Arc::clone)
     }
 
-    /// Resolves an optional route to `(name, current core)`: a named
-    /// bundle, or the default bundle for unrouted requests.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownBundle`] when the name (or, for `None`,
-    /// the registry itself) resolves to nothing.
-    pub fn resolve(&self, name: Option<&str>) -> Result<(String, Arc<ServiceCore>), ServiceError> {
+    /// Resolves an optional route to its current core: a named bundle,
+    /// or the default bundle for unrouted requests. An empty registry
+    /// has no default, so `None` then fails as `<default>`.
+    fn resolve(&self, name: Option<&str>) -> Result<Arc<ServiceCore>, ServiceError> {
         let name = match name {
             Some(n) => n.to_string(),
-            None => {
-                read(&self.default_name)
-                    .clone()
-                    .ok_or_else(|| ServiceError::UnknownBundle {
-                        bundle: "<default>".to_string(),
-                    })?
-            }
+            None => read(&self.default_name)
+                .clone()
+                .unwrap_or_else(|| "<default>".to_string()),
         };
-        match self.get(&name) {
-            Some(core) => Ok((name, core)),
-            None => Err(ServiceError::UnknownBundle { bundle: name }),
-        }
-    }
-
-    /// The registered bundle names, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        read(&self.cores).keys().cloned().collect()
+        self.get(&name)
+            .ok_or(ServiceError::UnknownBundle { bundle: name })
     }
 
     /// Opens a routing session (one per client connection).
@@ -152,70 +165,84 @@ impl ModelRegistry {
     pub fn bundles_json(&self) -> String {
         let cores = read(&self.cores);
         let default = read(&self.default_name).clone();
-        let mut out = String::from("{\"status\":\"bundles\",\"default\":");
-        out.push_str(&default.map_or_else(|| "null".to_string(), |n| json_string(&n)));
-        out.push_str(",\"bundles\":{");
-        for (i, (name, core)) in cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let map = render_map(&cores, |core| {
             let meta = &core.bundle().meta;
-            let _ = write!(
-                out,
-                "{}:{{\"label\":{},\"preset\":{},\"backend\":{},\"straps\":{},\"pending\":{}}}",
-                json_string(name),
+            format!(
+                "{{\"label\":{},\"preset\":{},\"backend\":{},\"straps\":{},\"pending\":{}}}",
                 json_string(&meta.label()),
                 json_string(meta.preset.name()),
                 json_string(core.bundle().backend().tag()),
                 core.bundle().golden_widths.len(),
                 core.pending(),
-            );
-        }
-        out.push_str("}}");
-        out
+            )
+        });
+        format!(
+            "{{\"status\":\"bundles\",\"default\":{},\"bundles\":{map}}}",
+            default.map_or_else(|| "null".to_string(), |n| json_string(&n))
+        )
     }
 
-    /// The registry-mode `{"cmd":"stats"}` reply: one stats body per
-    /// resident bundle (same fields as the single-bundle snapshot,
-    /// with the core-wide pending count as the queue depth).
+    /// The `{"cmd":"stats"}` reply: the default bundle's stats body at
+    /// the top level (the fields a one-bundle client reads), then one
+    /// body per resident bundle under `bundles`.
     #[must_use]
     pub fn stats_json(&self) -> String {
         let cores = read(&self.cores);
-        let mut out = String::from("{\"status\":\"stats\",\"bundles\":{");
-        for (i, (name, core)) in cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{{}}}",
-                json_string(name),
-                core.stats_body(core.pending())
-            );
+        let mut out = String::from("{\"status\":\"stats\",");
+        if let Some(core) = self.default_core(&cores) {
+            let _ = write!(out, "{},", core.stats_body());
         }
-        out.push_str("}}");
+        let map = render_map(&cores, |core| format!("{{{}}}", core.stats_body()));
+        let _ = write!(out, "\"bundles\":{map}}}");
         out
     }
 
-    /// The registry-mode telemetry snapshot: one full per-bundle
-    /// [`ppdl_obs::Registry`] dump each, plus the global registry.
+    /// The `{"cmd":"stats","spans":true}` reply: the default bundle's
+    /// [`ppdl_obs::Registry`] dump under `service`, one dump per
+    /// resident bundle under `bundles`, then the global registry.
     #[must_use]
     pub fn telemetry_json(&self) -> String {
         let cores = read(&self.cores);
-        let mut out = String::from("{\"status\":\"telemetry\",\"bundles\":{");
-        for (i, (name, core)) in cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), core.obs().snapshot_json());
+        let mut out = String::from("{\"status\":\"telemetry\",");
+        if let Some(core) = self.default_core(&cores) {
+            let _ = write!(out, "\"service\":{},", core.obs().snapshot_json());
         }
+        let map = render_map(&cores, |core| core.obs().snapshot_json());
         let _ = write!(
             out,
-            "}},\"global\":{}}}",
+            "\"bundles\":{map},\"global\":{}}}",
             ppdl_obs::global().snapshot_json()
         );
         out
     }
+
+    /// The default bundle's core, looked up in an already-locked map so
+    /// a snapshot's top level and its `bundles` entry read one core.
+    fn default_core<'a>(
+        &self,
+        cores: &'a BTreeMap<String, Arc<ServiceCore>>,
+    ) -> Option<&'a Arc<ServiceCore>> {
+        read(&self.default_name)
+            .as_deref()
+            .and_then(|name| cores.get(name))
+    }
+}
+
+/// Renders `{"<name>":<render(core)>,…}` over the resident cores, in
+/// name order.
+fn render_map(
+    cores: &BTreeMap<String, Arc<ServiceCore>>,
+    render: impl Fn(&ServiceCore) -> String,
+) -> String {
+    let mut out = String::from("{");
+    for (i, (name, core)) in cores.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:{}", json_string(name), render(core));
+    }
+    out.push('}');
+    out
 }
 
 /// One client's routed view of the registry: a bounded queue of
@@ -232,12 +259,6 @@ impl Session {
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The registry this session routes into.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
     }
 
     /// Routes and admits one request: resolves `bundle` to its current
@@ -259,7 +280,7 @@ impl Session {
         if self.queue.len() >= capacity {
             return Err(ServiceError::QueueFull { capacity });
         }
-        let (_, core) = self.registry.resolve(bundle)?;
+        let core = self.registry.resolve(bundle)?;
         core.admit()?;
         self.queue.push((core, request));
         Ok(())
@@ -268,13 +289,18 @@ impl Session {
     /// Drains the queue: consecutive requests pinned to the same core
     /// run together in batches of at most `max_batch`, in enqueue
     /// order, and every admission slot is released on the core that
-    /// granted it. Replies come back in enqueue order; per-request
-    /// failures are typed error replies, flush itself never fails.
+    /// granted it. Each core that ran a batch records one
+    /// `service/flush` span: the wall time of its batches in this
+    /// flush. Replies come back in enqueue order; per-request failures
+    /// are typed error replies, flush itself never fails.
     pub fn flush(&mut self) -> Vec<ServiceReply> {
         let drained = std::mem::take(&mut self.queue);
         let mut replies = Vec::with_capacity(drained.len());
+        let mut spent: Vec<(&Arc<ServiceCore>, f64)> = Vec::new();
         let mut i = 0;
         while i < drained.len() {
+            // ppdl-lint: allow(determinism/wall-clock) -- feeds only the flush span; never touches prediction values
+            let t0 = Instant::now();
             let core = &drained[i].0;
             let max_batch = core.config().max_batch.max(1);
             let mut j = i + 1;
@@ -284,7 +310,15 @@ impl Session {
             let batch: Vec<PredictRequest> = drained[i..j].iter().map(|(_, r)| r.clone()).collect();
             replies.extend(core.run_batch(&batch));
             core.release(batch.len());
+            let secs = t0.elapsed().as_secs_f64();
+            match spent.iter_mut().find(|(c, _)| Arc::ptr_eq(c, core)) {
+                Some((_, total)) => *total += secs,
+                None => spent.push((core, secs)),
+            }
             i = j;
+        }
+        for (core, secs) in spent {
+            core.obs().record_span("service/flush", secs);
         }
         replies
     }
@@ -470,6 +504,20 @@ mod tests {
         assert_eq!(a.get("ok").unwrap().as_u64(), Some(1));
         let b = stats.get("bundles").unwrap().get("b").unwrap();
         assert_eq!(b.get("ok").unwrap().as_u64(), Some(0));
+        // The top level is the default bundle's body, key for key, so a
+        // one-bundle client reads `preset`/`ok`/`p50_ms` where it always
+        // did; the per-bundle map follows it.
+        let Json::Obj(top) = &stats else {
+            panic!("stats is an object")
+        };
+        let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.first(), Some(&"status"));
+        assert_eq!(keys.last(), Some(&"bundles"));
+        let Json::Obj(a_body) = a else {
+            panic!("bundle body is an object")
+        };
+        assert_eq!(&top[1..top.len() - 1], &a_body[..]);
+        assert_eq!(stats.get("preset").unwrap().as_str(), Some("ibmpg1"));
 
         let telemetry = Json::parse(&registry.telemetry_json()).unwrap();
         assert!(telemetry
@@ -480,6 +528,16 @@ mod tests {
             .get("counters")
             .is_some());
         assert!(telemetry.get("global").is_some());
+        // `service` is the default bundle's snapshot, flush span included.
+        let service = telemetry.get("service").unwrap();
+        let batches = service.get("counters").unwrap().get("service/batches");
+        assert_eq!(batches.unwrap().as_u64(), Some(1));
+        assert!(service.get("spans").unwrap().get("service/flush").is_some());
+        let Json::Obj(sections) = &telemetry else {
+            panic!("telemetry is an object")
+        };
+        let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["status", "service", "bundles", "global"]);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! environment override is sampled exactly once at first use (see
 //! `ppdl_solver::parallel::current_threads`).
 
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -32,7 +31,7 @@ use powerplanningdl::core::{
 use powerplanningdl::floorplan::SvgOptions;
 use powerplanningdl::netlist::{parse_spice, IbmPgPreset, Orientation, SyntheticBenchmark};
 use powerplanningdl::service::{
-    serve_ndjson, serve_tcp, serve_unix, ModelRegistry, NetConfig, PredictionService, ServiceConfig,
+    serve_ndjson, serve_tcp, serve_unix, ModelRegistry, NetConfig, ServiceConfig,
 };
 
 fn main() -> ExitCode {
@@ -71,9 +70,9 @@ USAGE:
              [--backend mlp|cnn|encdec] --out <model.bundle>
   ppdl synth --preset <name> [--scale <f>] [--seed <n>] [--fast] [--backend <kind>]
              [--precond <kind>] [--budget <n>] [--bundle <model.bundle>] [--out <widths.csv>]
-  ppdl serve --bundle <model.bundle> [--queue <n>] [--batch <n>] [--cache <n>] [--telemetry]
-  ppdl serve --listen <addr:port> | --unix <sock> (--bundle <f>)* [--bundle-dir <dir>]
-             [--pending <n>] [--max-clients <n>]
+  ppdl serve (--bundle <f>)* [--bundle-dir <dir>] [--queue <n>] [--batch <n>] [--cache <n>]
+             [--pending <n>] [--telemetry]
+             [--listen <addr:port> | --unix <sock>] [--max-clients <n>]
 
 Every subcommand also accepts --threads <n> (pin the worker pool before
 the first kernel runs; overrides PPDL_THREADS). analyze and flow accept
@@ -87,20 +86,21 @@ solves only at escalations and termination. --budget caps the oracle
 calls; the run is bitwise deterministic for a fixed --seed at any
 --threads count.
 
-serve reads NDJSON requests from stdin and answers on stdout, e.g.
+serve holds a *registry* of bundles — each --bundle file and every
+*.bundle under --bundle-dir, registered under its file stem; the first
+is the default — and reads NDJSON requests from stdin, answering on
+stdout, e.g.
   {\"id\":\"q1\",\"gamma\":0.1,\"kind\":\"both\",\"seed\":5}
-  {\"id\":\"q2\",\"loads\":[[0,0.0012]],\"stride\":2}
+  {\"id\":\"q2\",\"loads\":[[0,0.0012]],\"stride\":2,\"bundle\":\"<name>\"}
   {\"cmd\":\"flush\"} | {\"cmd\":\"stats\"} | {\"cmd\":\"stats\",\"spans\":true} | {\"cmd\":\"quit\"}
---telemetry additionally collects process-wide spans/counters (solver,
-NN, pipeline) and dumps the snapshot to stderr on exit.
-
-serve --listen (TCP) / --unix (domain socket) holds a *registry* of
-bundles — each --bundle file and every *.bundle under --bundle-dir,
-registered under its file stem — and serves concurrent connections.
-Requests route with \"bundle\":\"<name>\"; {\"cmd\":\"load\",...} hot-swaps a
-bundle, {\"cmd\":\"bundles\"} lists them, {\"cmd\":\"shutdown\"} stops the
-listener. Saturated bundles answer typed service/overloaded errors
-(--pending bounds per-bundle admission, --max-clients the connections).
+Requests without \"bundle\" go to the default; {\"cmd\":\"load\",...} hot-swaps
+a bundle, {\"cmd\":\"bundles\"} lists them. --telemetry additionally collects
+process-wide spans/counters (solver, NN, pipeline) and dumps the snapshot
+to stderr on exit. With --listen (TCP) / --unix (domain socket) the same
+protocol serves concurrent connections instead, and {\"cmd\":\"shutdown\"}
+stops the listener. Saturated bundles answer typed service/overloaded
+errors (--pending bounds per-bundle admission, --max-clients the
+connections).
 
 PRESETS: ibmpg1..ibmpg6, ibmpgnew1, ibmpgnew2 (Table II of the paper)";
 
@@ -467,6 +467,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if telemetry {
         powerplanningdl::obs::set_enabled(true);
     }
+    if flags.get("listen").is_some() && flags.get("unix").is_some() {
+        return Err("--listen and --unix are mutually exclusive".to_string());
+    }
     let defaults = ServiceConfig::default();
     let config = ServiceConfig {
         queue_capacity: flags.get_parse("queue", defaults.queue_capacity)?,
@@ -474,38 +477,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cache_capacity: flags.get_parse("cache", defaults.cache_capacity)?,
         max_pending: flags.get_parse("pending", defaults.max_pending)?,
     };
-    if flags.get("listen").is_some() || flags.get("unix").is_some() {
-        return serve_registry(&flags, config, telemetry);
-    }
-
-    let bundle_path = PathBuf::from(flags.get("bundle").ok_or("--bundle is required")?);
-    let bundle = TrainedBundle::load(&bundle_path).map_err(|e| e.to_string())?;
-    eprintln!(
-        "serving {} ({} at scale {}, {} straps)",
-        bundle_path.display(),
-        bundle.meta.preset.name(),
-        bundle.meta.scale,
-        bundle.golden_widths.len()
-    );
-    let mut service = PredictionService::new(bundle, config).map_err(|e| e.to_string())?;
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    serve_ndjson(&mut service, BufReader::new(stdin.lock()), &mut stdout)
-        .map_err(|e| e.to_string())?;
-    eprintln!("{}", service.stats_json());
-    if telemetry {
-        eprintln!("{}", service.telemetry_json());
-    }
-    Ok(())
-}
-
-/// The networked registry mode: load every named bundle, then serve
-/// concurrent NDJSON connections over TCP (`--listen`) or a Unix
-/// domain socket (`--unix`) until `{"cmd":"shutdown"}`.
-fn serve_registry(flags: &Flags, config: ServiceConfig, telemetry: bool) -> Result<(), String> {
-    if flags.get("listen").is_some() && flags.get("unix").is_some() {
-        return Err("--listen and --unix are mutually exclusive".to_string());
-    }
 
     // Bundle set: every --bundle file, plus every *.bundle under
     // --bundle-dir (sorted for a deterministic registry), each named
@@ -523,7 +494,7 @@ fn serve_registry(flags: &Flags, config: ServiceConfig, telemetry: bool) -> Resu
         paths.extend(found);
     }
     if paths.is_empty() {
-        return Err("registry mode needs at least one --bundle or a non-empty --bundle-dir".into());
+        return Err("serve needs at least one --bundle or a non-empty --bundle-dir".into());
     }
 
     let registry = Arc::new(ModelRegistry::new(config));
@@ -547,7 +518,6 @@ fn serve_registry(flags: &Flags, config: ServiceConfig, telemetry: bool) -> Resu
 
     let net = NetConfig {
         max_clients: flags.get_parse("max-clients", NetConfig::default().max_clients)?,
-        ..NetConfig::default()
     };
     if let Some(addr) = flags.get("listen") {
         let listener = TcpListener::bind(addr).map_err(|e| format!("--listen {addr}: {e}"))?;
@@ -563,6 +533,9 @@ fn serve_registry(flags: &Flags, config: ServiceConfig, telemetry: bool) -> Resu
         let result = serve_unix(&registry, &listener, &net);
         let _ = std::fs::remove_file(sock);
         result.map_err(|e| e.to_string())?;
+    } else {
+        let mut stdout = std::io::stdout().lock();
+        serve_ndjson(&registry, std::io::stdin().lock(), &mut stdout).map_err(|e| e.to_string())?;
     }
     eprintln!("{}", registry.stats_json());
     if telemetry {

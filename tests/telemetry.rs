@@ -7,11 +7,11 @@
 //! and the global registry are process-wide; sharing a process with
 //! telemetry-off tests would make their observations order-dependent.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use powerplanningdl::core::{DlFlowConfig, PredictRequest, TrainedBundle};
 use powerplanningdl::netlist::IbmPgPreset;
-use powerplanningdl::service::{Json, PredictionService, ServiceConfig};
+use powerplanningdl::service::{Json, ModelRegistry, ServiceConfig};
 
 /// One fast telemetry-enabled training run shared by every test here.
 /// Collection is switched on before the first kernel call so the
@@ -77,13 +77,16 @@ fn every_instrumented_crate_reports_into_the_global_snapshot() {
 
 #[test]
 fn service_flush_populates_per_instance_registry_and_percentiles() {
-    let mut service =
-        PredictionService::new(bundle().clone(), ServiceConfig::default()).expect("service");
-    service.enqueue(PredictRequest::new("t0")).expect("enqueue");
+    let registry = Arc::new(ModelRegistry::new(ServiceConfig::default()));
+    registry.install("m", bundle().clone()).expect("install");
+    let mut service = registry.session();
+    service
+        .enqueue(None, PredictRequest::new("t0"))
+        .expect("enqueue");
     let replies = service.flush();
     assert_eq!(replies.len(), 1);
 
-    let stats = Json::parse(&service.stats_json()).expect("stats_json is valid JSON");
+    let stats = Json::parse(&registry.stats_json()).expect("stats_json is valid JSON");
     for field in ["p50_ms", "p95_ms", "p99_ms"] {
         let p = stats.get(field).and_then(Json::as_f64);
         assert!(
@@ -92,7 +95,7 @@ fn service_flush_populates_per_instance_registry_and_percentiles() {
         );
     }
 
-    let telemetry = Json::parse(&service.telemetry_json()).expect("telemetry_json is valid JSON");
+    let telemetry = Json::parse(&registry.telemetry_json()).expect("telemetry_json is valid JSON");
     assert_eq!(
         telemetry.get("status").and_then(Json::as_str),
         Some("telemetry")
