@@ -9,9 +9,10 @@
 //!
 //! The flow is:
 //!
-//! 1. [`StaticAnalysis::solve`] merges via shorts, classifies nodes
-//!    (ground / supply-fixed / free), stamps conductances, and solves
-//!    `G v = i` for the free-node voltages.
+//! 1. [`StaticAnalysis::solve`] merges via shorts through a node map
+//!    ([`ShortMerge`](ppdl_netlist::ShortMerge), no copy of the
+//!    netlist), classifies nodes (ground / supply-fixed / free), stamps
+//!    conductances, and solves `G v = i` for the free-node voltages.
 //! 2. [`IrDropReport`] exposes voltages, drops, branch currents, and
 //!    the worst-case drop (the Table III number).
 //! 3. [`EmChecker`] computes per-segment current densities `I/w` and

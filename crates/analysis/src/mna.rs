@@ -118,22 +118,27 @@ impl StaticAnalysis {
     ///   supply.
     /// * [`AnalysisError::Solver`] — the CG solve failed.
     pub fn solve(&self, network: &PowerGridNetwork) -> crate::Result<IrDropReport> {
+        let _span = ppdl_obs::span("analysis/solve");
         if network.voltage_sources().is_empty() {
             return Err(AnalysisError::NoSupply);
         }
-        let (merged, node_map) = network.merged_shorts();
-        let n = merged.node_count();
+        let assemble = ppdl_obs::span("assemble");
+        // Shorts are merged through a node map: the original elements
+        // are stamped in their own order at their merged node ids, so
+        // the system is the one the merged copy of the netlist gives.
+        let merge = network.short_merge();
+        let n = merge.node_count();
 
         // Classify merged nodes.
         const FREE: usize = usize::MAX;
         const GROUND: usize = usize::MAX - 1;
         // fixed_voltage[i] = Some(v) for supply-pinned nodes.
         let mut fixed: Vec<Option<f64>> = vec![None; n];
-        for s in merged.voltage_sources() {
-            fixed[s.node.0] = Some(s.volts);
+        for s in network.voltage_sources() {
+            fixed[merge.node(s.node).0] = Some(s.volts);
         }
-        for (i, name) in merged.node_names().iter().enumerate() {
-            if name.is_ground() {
+        for (i, &named) in merge.name_sources().iter().enumerate() {
+            if network.node_name(named).is_ground() {
                 fixed[i] = Some(0.0);
             }
         }
@@ -141,8 +146,10 @@ impl StaticAnalysis {
         // Check connectivity: every free node must reach a fixed node
         // through resistors.
         let mut uf = UnionFind::new(n);
-        for r in merged.resistors() {
-            uf.union(r.a.0, r.b.0);
+        for r in network.resistors() {
+            if let Some((a, b)) = merge.resistor(r) {
+                uf.union(a.0, b.0);
+            }
         }
         let mut component_has_fixed = vec![false; n];
         for (i, fv) in fixed.iter().enumerate() {
@@ -156,7 +163,7 @@ impl StaticAnalysis {
         for i in 0..n {
             if fixed[i].is_none() && !component_has_fixed[uf.find(i)] {
                 if floating == 0 {
-                    example = merged.node_name(NodeId(i)).to_string();
+                    example = network.node_name(merge.name_sources()[i]).to_string();
                 }
                 floating += 1;
             }
@@ -182,11 +189,14 @@ impl StaticAnalysis {
         let m = free_nodes.len();
 
         // Stamp.
-        let mut g = TripletMatrix::with_capacity(m, m, 4 * merged.resistors().len());
+        let mut g = TripletMatrix::with_capacity(m, m, 4 * network.resistors().len());
         let mut rhs = vec![0.0; m];
-        for r in merged.resistors() {
+        for r in network.resistors() {
+            let Some((a, b)) = merge.resistor(r) else {
+                continue;
+            };
             let cond = r.conductance();
-            let (a, b) = (r.a.0, r.b.0);
+            let (a, b) = (a.0, b.0);
             match (fixed[a], fixed[b]) {
                 (None, None) => {
                     g.stamp_conductance(unknown_index[a], unknown_index[b], cond);
@@ -204,18 +214,21 @@ impl StaticAnalysis {
                 (Some(_), Some(_)) => {}
             }
         }
-        for l in merged.current_loads() {
-            if fixed[l.node.0].is_none() {
-                rhs[unknown_index[l.node.0]] -= l.amps;
+        for l in network.current_loads() {
+            let node = merge.node(l.node).0;
+            if fixed[node].is_none() {
+                rhs[unknown_index[node]] -= l.amps;
             }
         }
 
         let matrix = g.to_csr();
+        drop(assemble);
         let (solution, iterations) = if m == 0 {
             (None, 0)
         } else {
             match self.options.preconditioner.cg_kind() {
                 Some(kind) => {
+                    let _cg = ppdl_obs::span("cg");
                     let cg = ConjugateGradient::new(
                         CgOptions::builder()
                             .tolerance(self.options.tolerance)
@@ -228,6 +241,7 @@ impl StaticAnalysis {
                     (Some(s.x), it)
                 }
                 None => {
+                    let _direct = ppdl_obs::span("cholesky");
                     let x = ppdl_solver::SparseCholesky::factor(&matrix)?.solve(&rhs)?;
                     (Some(x), 0)
                 }
@@ -246,7 +260,7 @@ impl StaticAnalysis {
                 merged_v[node] = x[k];
             }
         }
-        let voltages: Vec<f64> = node_map.iter().map(|&mid| merged_v[mid.0]).collect();
+        let voltages: Vec<f64> = merge.map().iter().map(|&mid| merged_v[mid.0]).collect();
         // Re-checked rather than expect()ed: `solve` is on the serve
         // hot path, where a malformed deck must become a typed wire
         // error, never a process abort (robustness/unwrap-in-lib).

@@ -179,16 +179,16 @@ impl ConventionalFlow {
                 ));
             }
 
-            // Widen the violators; detect saturation.
+            // Widen the violators in one resize; detect saturation.
+            let mut widths = sized.strap_widths();
             let mut progressed = false;
-            for (strap, flag) in violating.iter().enumerate() {
+            for (w, &flag) in widths.iter_mut().zip(&violating) {
                 if !flag {
                     continue;
                 }
-                let w = sized.straps()[strap].width;
-                let new_w = (w * c.widen_factor).min(c.max_width);
-                if new_w > w {
-                    sized.set_strap_width(strap, new_w)?;
+                let new_w = (*w * c.widen_factor).min(c.max_width);
+                if new_w > *w {
+                    *w = new_w;
                     progressed = true;
                 }
             }
@@ -196,6 +196,7 @@ impl ConventionalFlow {
             if !progressed {
                 break;
             }
+            sized.set_strap_widths(&widths)?;
         }
 
         let _ = last_report;

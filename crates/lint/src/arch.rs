@@ -222,6 +222,7 @@ pub const HOT_PATHS: &[(&str, &str)] = &[
     ("nn/src/gemm.rs", "gemm_nt_bias_rows"),
     ("core/src/pipeline/mod.rs", "run_stage"),
     ("service/src/lib.rs", "run_batch"),
+    ("analysis/src/mna.rs", "solve"),
 ];
 
 /// Whether a body token range contains telemetry: an `ppdl_obs` path,

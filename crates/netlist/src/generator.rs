@@ -135,6 +135,18 @@ impl GridSpec {
         }
     }
 
+    /// Resistance of a `length` µm piece of a `width` µm strap running
+    /// in `orientation`: `R = ρ · ℓ / w`.
+    fn segment_resistance(&self, orientation: Orientation, length: f64, width: f64) -> f64 {
+        self.sheet_resistance(orientation) * length / width
+    }
+
+    /// Resistance of the via array at a crossing whose lower strap is
+    /// `width` µm wide (the array grows with the strap).
+    fn via_resistance_at(&self, width: f64) -> f64 {
+        self.via_resistance * self.initial_width_lower / width
+    }
+
     fn validate(&self) -> crate::Result<()> {
         if self.v_straps < 2 || self.h_straps < 2 {
             return Err(NetlistError::InfeasibleGrid {
@@ -264,7 +276,11 @@ impl SyntheticBenchmark {
             });
             for j in 0..nh - 1 {
                 let length = ys[j + 1] - ys[j];
-                let ohms = spec.sheet_res_lower * length / spec.initial_width_lower;
+                let ohms = spec.segment_resistance(
+                    Orientation::Vertical,
+                    length,
+                    spec.initial_width_lower,
+                );
                 let ridx = network.resistors().len();
                 network.add_resistor(format!("Rv{i}_{j}"), lower[i][j], lower[i][j + 1], ohms)?;
                 segments.push(SegmentInfo {
@@ -289,7 +305,11 @@ impl SyntheticBenchmark {
             });
             for i in 0..nv - 1 {
                 let length = xs[i + 1] - xs[i];
-                let ohms = spec.sheet_res_upper * length / spec.initial_width_upper;
+                let ohms = spec.segment_resistance(
+                    Orientation::Horizontal,
+                    length,
+                    spec.initial_width_upper,
+                );
                 let ridx = network.resistors().len();
                 network.add_resistor(format!("Rh{j}_{i}"), upper[i][j], upper[i + 1][j], ohms)?;
                 segments.push(SegmentInfo {
@@ -303,17 +323,15 @@ impl SyntheticBenchmark {
         }
 
         // Vias at every crossing (one array per crossing, landing on
-        // the vertical lower-layer strap).
+        // the vertical lower-layer strap). Their resistance follows the
+        // same width rule as a resize, so re-applying the current widths
+        // leaves every value bit-for-bit as generated.
+        let via_ohms = spec.via_resistance_at(spec.initial_width_lower);
         let mut vias = Vec::with_capacity(nv * nh);
         for i in 0..nv {
             for j in 0..nh {
                 let ridx = network.resistors().len();
-                network.add_resistor(
-                    format!("Rx{i}_{j}"),
-                    lower[i][j],
-                    upper[i][j],
-                    spec.via_resistance,
-                )?;
+                network.add_resistor(format!("Rx{i}_{j}"), lower[i][j], upper[i][j], via_ohms)?;
                 vias.push(ViaInfo {
                     resistor: ridx,
                     lower_strap: i,
@@ -445,7 +463,7 @@ impl SyntheticBenchmark {
     /// strap were `width` µm wide (the array grows with the strap).
     #[must_use]
     pub fn via_resistance_for_width(&self, width: f64) -> f64 {
-        self.spec.via_resistance * self.spec.initial_width_lower / width
+        self.spec.via_resistance_at(width)
     }
 
     /// The strap plan of one direction: the current widths with the
@@ -474,50 +492,27 @@ impl SyntheticBenchmark {
         Ok(ppdl_floorplan::StrapPlan::from_widths(core_width, &widths)?)
     }
 
-    /// Sets a strap's width and updates every segment resistance on it
-    /// (`R = ρ · ℓ / w`).
+    /// Sets one strap's width: [`set_strap_widths`](Self::set_strap_widths)
+    /// with every other strap at its current width, so the same checks
+    /// and the same all-or-nothing guarantee apply.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::InfeasibleGrid`] if `strap` is out of
-    /// range or `width` is not strictly positive.
+    /// range, and otherwise the errors of
+    /// [`set_strap_widths`](Self::set_strap_widths).
     pub fn set_strap_width(&mut self, strap: usize, width: f64) -> crate::Result<()> {
-        if strap >= self.straps.len() {
+        let mut widths = self.strap_widths();
+        let Some(slot) = widths.get_mut(strap) else {
             return Err(NetlistError::InfeasibleGrid {
                 detail: format!(
                     "strap index {strap} out of range for {} straps",
                     self.straps.len()
                 ),
             });
-        }
-        if !(width.is_finite() && width > 0.0) {
-            return Err(NetlistError::InfeasibleGrid {
-                detail: format!("strap width must be positive, got {width}"),
-            });
-        }
-        let rho = self.spec.sheet_resistance(self.straps[strap].orientation);
-        self.straps[strap].width = width;
-        for seg in &self.segments {
-            if seg.strap == strap {
-                let ohms = rho * seg.length / width;
-                // Segment indices are valid by construction; propagate
-                // a typed error rather than aborting if that ever
-                // breaks (robustness/unwrap-in-lib).
-                self.network.set_resistance(seg.resistor, ohms)?;
-            }
-        }
-        // A wider strap hosts a larger via array at each crossing.
-        if self.straps[strap].orientation == Orientation::Vertical {
-            let via_ohms = self.via_resistance_for_width(width);
-            for via in &self.vias {
-                if via.lower_strap == strap {
-                    // Same as above: via indices are valid by
-                    // construction (robustness/unwrap-in-lib).
-                    self.network.set_resistance(via.resistor, via_ohms)?;
-                }
-            }
-        }
-        Ok(())
+        };
+        *slot = width;
+        self.set_strap_widths(&widths)
     }
 
     /// Convenience: the widths of all straps, indexed by strap id.
@@ -537,12 +532,22 @@ impl SyntheticBenchmark {
             .sum()
     }
 
-    /// Applies a full width vector (one entry per strap).
+    /// Applies a full width vector (one entry per strap) and re-derives
+    /// every resistance from it in one pass over segments and vias:
+    /// `R = ρ · ℓ / w` for a segment, and
+    /// [`via_resistance_for_width`](Self::via_resistance_for_width) of
+    /// the lower strap for a via.
+    ///
+    /// All or nothing: the widths and every derived resistance are
+    /// checked before anything is written, so on `Err` the benchmark is
+    /// unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::InfeasibleGrid`] on length mismatch or
-    /// any invalid width.
+    /// Returns [`NetlistError::InfeasibleGrid`] on length mismatch or a
+    /// width that is not finite and strictly positive, and
+    /// [`NetlistError::InvalidElement`] for a derived resistance that is
+    /// not finite (a tiny width overflows `ρ · ℓ / w`).
     pub fn set_strap_widths(&mut self, widths: &[f64]) -> crate::Result<()> {
         if widths.len() != self.straps.len() {
             return Err(NetlistError::InfeasibleGrid {
@@ -553,8 +558,34 @@ impl SyntheticBenchmark {
                 ),
             });
         }
-        for (i, &w) in widths.iter().enumerate() {
-            self.set_strap_width(i, w)?;
+        if let Some((strap, w)) = widths
+            .iter()
+            .enumerate()
+            .find(|(_, w)| !(w.is_finite() && **w > 0.0))
+        {
+            return Err(NetlistError::InfeasibleGrid {
+                detail: format!("strap {strap} width must be positive, got {w}"),
+            });
+        }
+        let Self {
+            spec,
+            network,
+            straps,
+            segments,
+            vias,
+            ..
+        } = self;
+        // Every derived value is checked before any is written, so the
+        // write pass cannot fail half-way.
+        let derived = || derived_resistances(spec, straps, segments, vias, widths);
+        for (resistor, ohms) in derived() {
+            network.check_resistance(resistor, ohms)?;
+        }
+        for (resistor, ohms) in derived() {
+            network.set_resistance(resistor, ohms)?;
+        }
+        for (strap, &w) in straps.iter_mut().zip(widths) {
+            strap.width = w;
         }
         Ok(())
     }
@@ -600,38 +631,6 @@ impl SyntheticBenchmark {
         regions
     }
 
-    /// Applies one width per region (as produced by
-    /// [`strap_regions`](Self::strap_regions)): every strap in region
-    /// `i` is set to `widths[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InfeasibleGrid`] on a length mismatch
-    /// between `regions` and `widths`, and propagates
-    /// [`set_strap_width`](Self::set_strap_width) errors for invalid
-    /// widths or stale strap indices.
-    pub fn apply_region_widths(
-        &mut self,
-        regions: &[Vec<usize>],
-        widths: &[f64],
-    ) -> crate::Result<()> {
-        if regions.len() != widths.len() {
-            return Err(NetlistError::InfeasibleGrid {
-                detail: format!(
-                    "{} region widths provided for {} regions",
-                    widths.len(),
-                    regions.len()
-                ),
-            });
-        }
-        for (region, &width) in regions.iter().zip(widths) {
-            for &strap in region {
-                self.set_strap_width(strap, width)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Applies a full load-current vector (one entry per current load,
     /// in [`PowerGridNetwork::current_loads`] order) — the bulk form of
     /// [`PowerGridNetwork::set_load_current`], used to restore cached
@@ -656,6 +655,29 @@ impl SyntheticBenchmark {
         }
         Ok(())
     }
+}
+
+/// The resistance every segment and via should have at `widths`, as
+/// `(resistor index, ohms)`: segments first, then vias.
+fn derived_resistances<'a>(
+    spec: &'a GridSpec,
+    straps: &'a [StrapInfo],
+    segments: &'a [SegmentInfo],
+    vias: &'a [ViaInfo],
+    widths: &'a [f64],
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let wires = segments.iter().map(move |seg| {
+        let orientation = straps[seg.strap].orientation;
+        let ohms = spec.segment_resistance(orientation, seg.length, widths[seg.strap]);
+        (seg.resistor, ohms)
+    });
+    let arrays = vias.iter().map(move |via| {
+        (
+            via.resistor,
+            spec.via_resistance_at(widths[via.lower_strap]),
+        )
+    });
+    wires.chain(arrays)
 }
 
 #[cfg(test)]
@@ -759,6 +781,85 @@ mod tests {
         assert!(b.set_strap_widths(&w[1..]).is_err());
     }
 
+    /// Every resistor's ohms and every strap width, as raw bits.
+    fn state_bits(b: &SyntheticBenchmark) -> (Vec<u64>, Vec<u64>) {
+        let ohms = b.network().resistors().iter().map(|r| r.ohms.to_bits());
+        let widths = b.straps().iter().map(|s| s.width.to_bits());
+        (ohms.collect(), widths.collect())
+    }
+
+    #[test]
+    fn set_strap_widths_derives_every_resistance_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let spec = small_spec();
+        let mut b = SyntheticBenchmark::generate("t", spec.clone(), small_floorplan()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let w: Vec<f64> = (0..b.straps().len())
+            .map(|_| rng.gen_range(0.1..25.0))
+            .collect();
+        b.set_strap_widths(&w).unwrap();
+        assert_eq!(b.strap_widths(), w);
+        let ohms = |i: usize| b.network().resistors()[i].ohms.to_bits();
+        for seg in b.segments() {
+            let rho = spec.sheet_resistance(b.straps()[seg.strap].orientation);
+            assert_eq!(
+                ohms(seg.resistor),
+                (rho * seg.length / w[seg.strap]).to_bits()
+            );
+        }
+        for via in b.vias() {
+            let expect = b.via_resistance_for_width(w[via.lower_strap]);
+            assert_eq!(ohms(via.resistor), expect.to_bits());
+        }
+        // Segments and vias are every resistor of the grid.
+        assert_eq!(
+            b.segments().len() + b.vias().len(),
+            b.network().resistors().len()
+        );
+    }
+
+    #[test]
+    fn set_strap_widths_is_all_or_nothing() {
+        let mut b = SyntheticBenchmark::generate("t", small_spec(), small_floorplan()).unwrap();
+        let n = b.straps().len();
+        b.set_strap_widths(&vec![1.5; n]).unwrap();
+        let before = state_bits(&b);
+        // A NaN in the last slot: caught by the width check.
+        let mut nan_last = vec![3.0; n];
+        nan_last[n - 1] = f64::NAN;
+        assert!(matches!(
+            b.set_strap_widths(&nan_last),
+            Err(NetlistError::InfeasibleGrid { .. })
+        ));
+        assert_eq!(state_bits(&b), before);
+        // A tiny positive width passes the width check but overflows
+        // R = ρ·ℓ/w to +inf, which the resistance check rejects.
+        let mut tiny = vec![3.0; n];
+        tiny[1] = 1e-310;
+        assert!(matches!(
+            b.set_strap_widths(&tiny),
+            Err(NetlistError::InvalidElement { .. })
+        ));
+        assert_eq!(state_bits(&b), before);
+        assert!(b.set_strap_width(1, 1e-310).is_err());
+        assert_eq!(state_bits(&b), before);
+    }
+
+    #[test]
+    fn reapplying_the_current_widths_is_a_bitwise_no_op() {
+        // 0.013 · 1.3 / 1.3 != 0.013 in f64: the generator must derive
+        // via resistances with the resize rule for this to hold.
+        let spec = GridSpec {
+            via_resistance: 0.013,
+            initial_width_lower: 1.3,
+            ..small_spec()
+        };
+        let mut b = SyntheticBenchmark::generate("t", spec, small_floorplan()).unwrap();
+        let before = state_bits(&b);
+        b.set_strap_widths(&b.strap_widths()).unwrap();
+        assert_eq!(state_bits(&b), before);
+    }
+
     #[test]
     fn metal_area_grows_with_widening() {
         let mut b = SyntheticBenchmark::generate("t", small_spec(), small_floorplan()).unwrap();
@@ -859,22 +960,5 @@ mod tests {
         let fine = b.strap_regions(100);
         assert_eq!(fine.len(), b.straps().len());
         assert!(fine.iter().all(|r| r.len() == 1));
-    }
-
-    #[test]
-    fn region_widths_apply_per_band_and_reject_mismatch() {
-        let mut b = SyntheticBenchmark::generate("t", small_spec(), small_floorplan()).unwrap();
-        let regions = b.strap_regions(2);
-        let widths: Vec<f64> = (0..regions.len()).map(|i| 1.0 + i as f64).collect();
-        b.apply_region_widths(&regions, &widths).unwrap();
-        for (region, &w) in regions.iter().zip(&widths) {
-            for &strap in region {
-                assert_eq!(b.straps()[strap].width, w);
-            }
-        }
-        assert!(b.apply_region_widths(&regions, &widths[1..]).is_err());
-        assert!(b
-            .apply_region_widths(&regions, &vec![-1.0; regions.len()])
-            .is_err());
     }
 }

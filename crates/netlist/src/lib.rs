@@ -43,7 +43,7 @@ mod units;
 pub use element::{CurrentLoad, Resistor, VoltageSource};
 pub use error::NetlistError;
 pub use generator::{GridSpec, Orientation, SegmentInfo, StrapInfo, SyntheticBenchmark, ViaInfo};
-pub use network::{BenchmarkStats, NodeId, PowerGridNetwork};
+pub use network::{BenchmarkStats, NodeId, PowerGridNetwork, ShortMerge};
 pub use node::NodeName;
 pub use presets::IbmPgPreset;
 pub use spice::{parse_spice, parse_spice_lines};

@@ -185,19 +185,26 @@ impl PowerGridNetwork {
     /// (reusing the index-style error), or
     /// [`NetlistError::InvalidElement`] for an invalid value.
     pub fn set_resistance(&mut self, idx: usize, ohms: f64) -> crate::Result<()> {
-        if idx >= self.resistors.len() {
+        self.check_resistance(idx, ohms)?;
+        self.resistors[idx].ohms = ohms;
+        Ok(())
+    }
+
+    /// The checks of [`set_resistance`](Self::set_resistance) without the
+    /// write, so a bulk update can validate every value first.
+    pub(crate) fn check_resistance(&self, idx: usize, ohms: f64) -> crate::Result<()> {
+        let Some(r) = self.resistors.get(idx) else {
             return Err(NetlistError::UnknownNode {
                 index: idx,
                 nodes: self.resistors.len(),
             });
-        }
+        };
         if !(ohms.is_finite() && ohms >= 0.0) {
             return Err(NetlistError::InvalidElement {
-                name: self.resistors[idx].name.clone(),
+                name: r.name.clone(),
                 detail: format!("resistance {ohms} must be finite and non-negative"),
             });
         }
-        self.resistors[idx].ohms = ohms;
         Ok(())
     }
 
@@ -305,6 +312,36 @@ impl PowerGridNetwork {
         bb
     }
 
+    /// The node map that merges every zero-resistance short: see
+    /// [`ShortMerge`]. Without shorts it is the identity and no
+    /// union-find runs.
+    #[must_use]
+    pub fn short_merge(&self) -> ShortMerge {
+        let n = self.names.len();
+        let labels = if self.resistors.iter().any(Resistor::is_short) {
+            let mut uf = UnionFind::new(n);
+            for r in self.resistors.iter().filter(|r| r.is_short()) {
+                uf.union(r.a.0, r.b.0);
+            }
+            uf.dense_labels()
+        } else {
+            (0..n).collect()
+        };
+        // Labels are dense in first-seen order, so a label is new
+        // exactly when it equals the count seen so far, and its first
+        // member is the lowest-indexed one.
+        let mut names_from = Vec::new();
+        for (i, &c) in labels.iter().enumerate() {
+            if c == names_from.len() {
+                names_from.push(NodeId(i));
+            }
+        }
+        ShortMerge {
+            map: labels.into_iter().map(NodeId).collect(),
+            names_from,
+        }
+    }
+
     /// Merges all zero-resistance shorts, producing a new network in
     /// which each shorted group is a single node, together with the map
     /// from old node index to new [`NodeId`].
@@ -312,64 +349,46 @@ impl PowerGridNetwork {
     /// Element order is preserved; shorts themselves are dropped.
     /// Resistors whose two terminals land in the same merged node
     /// (parallel shorts) are also dropped. The merged node keeps the
-    /// name of the lowest-indexed member of its group.
+    /// name of the lowest-indexed member of its group. The rule is
+    /// [`short_merge`](Self::short_merge)'s; analysis applies it without
+    /// building this copy.
     #[must_use]
     pub fn merged_shorts(&self) -> (PowerGridNetwork, Vec<NodeId>) {
-        let n = self.names.len();
-        let mut uf = UnionFind::new(n);
-        for r in &self.resistors {
-            if r.is_short() {
-                uf.union(r.a.0, r.b.0);
-            }
-        }
-        let labels = uf.dense_labels();
+        let merge = self.short_merge();
         let mut merged = PowerGridNetwork::new();
-        // Name each component after its first-seen member, which is also
-        // the order dense_labels assigns.
-        let mut named = vec![false; uf.component_count()];
-        for (i, name) in self.names.iter().enumerate() {
-            let c = labels[i];
-            if !named[c] {
-                named[c] = true;
-                let id = merged.intern(name.clone());
-                debug_assert_eq!(id.0, c);
-            }
+        for (c, &member) in merge.name_sources().iter().enumerate() {
+            let id = merged.intern(self.names[member.0].clone());
+            debug_assert_eq!(id.0, c);
         }
-        let map: Vec<NodeId> = labels.iter().map(|&c| NodeId(c)).collect();
         // The merged elements are rebuilt by struct literal rather than
         // through the validating constructors: values were validated at
-        // insertion, and the guards above ensure no short or self-loop
-        // survives, so re-validation could only manufacture a panic path.
+        // insertion, and `ShortMerge::resistor` drops every short and
+        // self-loop, so re-validation could only manufacture a panic path.
         for r in &self.resistors {
-            if r.is_short() {
-                continue;
+            if let Some((a, b)) = merge.resistor(r) {
+                merged.resistors.push(Resistor {
+                    name: r.name.clone(),
+                    a,
+                    b,
+                    ohms: r.ohms,
+                });
             }
-            let (a, b) = (map[r.a.0], map[r.b.0]);
-            if a == b {
-                continue;
-            }
-            merged.resistors.push(Resistor {
-                name: r.name.clone(),
-                a,
-                b,
-                ohms: r.ohms,
-            });
         }
         for s in &self.sources {
             merged.sources.push(VoltageSource {
                 name: s.name.clone(),
-                node: map[s.node.0],
+                node: merge.node(s.node),
                 volts: s.volts,
             });
         }
         for l in &self.loads {
             merged.loads.push(CurrentLoad {
                 name: l.name.clone(),
-                node: map[l.node.0],
+                node: merge.node(l.node),
                 amps: l.amps,
             });
         }
-        (merged, map)
+        (merged, merge.map)
     }
 
     /// Serialises the network to the IBM PG SPICE subset. The output
@@ -417,6 +436,72 @@ impl PowerGridNetwork {
         }
         out.push_str(".op\n.end\n");
         out
+    }
+}
+
+/// How merging zero-resistance shorts renumbers a network's nodes,
+/// without copying the network.
+///
+/// Nodes joined by a chain of shorts become one merged node. Merged
+/// ids are dense and numbered in order of each group's lowest-indexed
+/// member, which also gives the merged node its name (and so decides
+/// whether it is ground). Shorts, and resistors whose two ends merge,
+/// drop out. [`PowerGridNetwork::merged_shorts`] builds the merged copy
+/// from this map; static analysis stamps the original elements through
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShortMerge {
+    /// Merged id of each original node.
+    map: Vec<NodeId>,
+    /// The original node each merged node takes its name from.
+    names_from: Vec<NodeId>,
+}
+
+impl ShortMerge {
+    /// Number of merged nodes.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.names_from.len()
+    }
+
+    /// The merged id of an original node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range for the network the map was
+    /// built from.
+    #[must_use]
+    pub fn node(&self, node: NodeId) -> NodeId {
+        self.map[node.0]
+    }
+
+    /// For each merged node, the original node it is named after: the
+    /// lowest-indexed member of its group.
+    #[must_use]
+    pub fn name_sources(&self) -> &[NodeId] {
+        &self.names_from
+    }
+
+    /// The merged ends of `r`, or `None` when the merge drops it (a
+    /// short, or both ends in one merged node).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a terminal is out of range for the network the map was
+    /// built from.
+    #[must_use]
+    pub fn resistor(&self, r: &Resistor) -> Option<(NodeId, NodeId)> {
+        if r.is_short() {
+            return None;
+        }
+        let (a, b) = (self.map[r.a.0], self.map[r.b.0]);
+        (a != b).then_some((a, b))
+    }
+
+    /// The merged id of every original node, indexed by `NodeId.0`.
+    #[must_use]
+    pub fn map(&self) -> &[NodeId] {
+        &self.map
     }
 }
 

@@ -73,6 +73,10 @@ fn every_instrumented_crate_reports_into_the_global_snapshot() {
         span_keys.iter().any(|k| k.ends_with("nn/fit")),
         "no nn/fit span recorded; have {span_keys:?}"
     );
+    assert!(
+        span_keys.iter().any(|k| k.ends_with("analysis/solve")),
+        "no analysis/solve span recorded; have {span_keys:?}"
+    );
 }
 
 #[test]
