@@ -6,7 +6,7 @@
 //! of the functional block under it (from the front-end activity data),
 //! and `wᵢ` is the golden width produced by the conventional flow.
 
-use ppdl_netlist::SyntheticBenchmark;
+use ppdl_netlist::{SegmentInfo, SyntheticBenchmark};
 use ppdl_nn::{Dataset, Matrix, StandardScaler};
 
 use crate::CoreError;
@@ -110,23 +110,7 @@ impl FeatureExtractor {
     #[must_use]
     pub fn raw_features(&self, bench: &SyntheticBenchmark) -> Matrix {
         let segs = bench.segments();
-        let fp = bench.floorplan();
-        let fs = self.feature_set;
-        Matrix::from_fn(segs.len(), fs.width(), |r, c| {
-            let seg = &segs[r];
-            let id_current = fp
-                .block_at(seg.x, seg.y)
-                .map_or(0.0, ppdl_floorplan::FunctionalBlock::switching_current);
-            match (fs, c) {
-                (FeatureSet::X, 0) => seg.x,
-                (FeatureSet::Y, 0) => seg.y,
-                (FeatureSet::Id, 0) => id_current,
-                (FeatureSet::Combined, 0) => seg.x,
-                (FeatureSet::Combined, 1) => seg.y,
-                (FeatureSet::Combined, 2) => id_current,
-                _ => unreachable!("feature width bounded by FeatureSet::width"),
-            }
-        })
+        self.rows(bench, segs.len(), |r| &segs[r])
     }
 
     /// Raw features for a subset of segments (by index), one row per
@@ -138,23 +122,35 @@ impl FeatureExtractor {
     #[must_use]
     pub fn raw_features_for(&self, bench: &SyntheticBenchmark, indices: &[usize]) -> Matrix {
         let segs = bench.segments();
+        self.rows(bench, indices.len(), |r| &segs[indices[r]])
+    }
+
+    /// One feature row per segment `seg(0..rows)`. `Id` needs a
+    /// floorplan lookup, made once per row rather than once per column.
+    fn rows<'a>(
+        &self,
+        bench: &SyntheticBenchmark,
+        rows: usize,
+        seg: impl Fn(usize) -> &'a SegmentInfo,
+    ) -> Matrix {
         let fp = bench.floorplan();
         let fs = self.feature_set;
-        Matrix::from_fn(indices.len(), fs.width(), |r, c| {
-            let seg = &segs[indices[r]];
-            let id_current = fp
-                .block_at(seg.x, seg.y)
-                .map_or(0.0, ppdl_floorplan::FunctionalBlock::switching_current);
-            match (fs, c) {
-                (FeatureSet::X, 0) => seg.x,
-                (FeatureSet::Y, 0) => seg.y,
-                (FeatureSet::Id, 0) => id_current,
-                (FeatureSet::Combined, 0) => seg.x,
-                (FeatureSet::Combined, 1) => seg.y,
-                (FeatureSet::Combined, 2) => id_current,
-                // ppdl-lint: allow(robustness/panic-reachable) -- Matrix::from_fn only passes c < fs.width(), and every (set, column) pair below that bound is matched above; this arm cannot execute for any request
-                _ => unreachable!("feature width bounded by FeatureSet::width"),
-            }
+        let id_current: Vec<f64> = match fs {
+            FeatureSet::Id | FeatureSet::Combined => (0..rows)
+                .map(|r| {
+                    let s = seg(r);
+                    fp.block_at(s.x, s.y)
+                        .map_or(0.0, ppdl_floorplan::FunctionalBlock::switching_current)
+                })
+                .collect(),
+            FeatureSet::X | FeatureSet::Y => Vec::new(),
+        };
+        Matrix::from_fn(rows, fs.width(), |r, c| match (fs, c) {
+            (FeatureSet::X | FeatureSet::Combined, 0) => seg(r).x,
+            (FeatureSet::Y, 0) | (FeatureSet::Combined, 1) => seg(r).y,
+            (FeatureSet::Id, 0) | (FeatureSet::Combined, 2) => id_current[r],
+            // ppdl-lint: allow(robustness/panic-reachable) -- Matrix::from_fn only passes c < fs.width(), and every (set, column) pair below that bound is matched above; this arm cannot execute for any request
+            _ => unreachable!("feature width bounded by FeatureSet::width"),
         })
     }
 

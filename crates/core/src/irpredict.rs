@@ -3,32 +3,41 @@
 //! Given the predicted widths and the switching currents, the paper
 //! estimates IR drop *without* running a full grid analysis: the
 //! current each power-grid line must deliver to its blocks is
-//! accumulated (eqs. 7–9) and Ohm's law is applied. This module
-//! implements that idea at two granularities, both linear in grid
-//! size:
+//! accumulated (eqs. 7–9) and Ohm's law is applied.
+//! [`IrPredictor::predict`] does this for the whole grid in two stages:
 //!
-//! * [`IrPredictor::line_estimate`] — the paper's literal per-line
-//!   calculation: a loaded 1-D ladder along one strap, fed at its
-//!   supply crossings, solved in closed form.
-//! * [`IrPredictor::predict`] — the whole-grid estimate: the same
-//!   current-accumulation done on a small **coarse grid** (cells of
-//!   several straps aggregated into one Kirchhoff node, solved
-//!   directly — a few hundred unknowns regardless of benchmark size),
-//!   followed by a *fixed* number of local KCL relaxation sweeps to
-//!   restore per-node detail. No convergence-driven iteration happens;
-//!   cost is `O(elements)` by construction, which is where the paper's
-//!   ~6× speedup over the conventional analysis comes from.
-
-// BTreeMap/BTreeSet, not HashMap: coordinate-keyed loads are summed
-// while the map is built and looked up per node, and the deterministic
-// key order keeps every float accumulation bitwise reproducible
-// (DESIGN.md §12, determinism/hashmap-iter).
-use std::collections::{BTreeMap, BTreeSet};
+//! * **Coarse Kirchhoff solve.** Nodes are aggregated into k × k die
+//!   cells (both layers merged into one Kirchhoff node), each segment
+//!   crossing a cell boundary is stamped with its conductance derated by
+//!   its length over the cell extent, and the aggregated network is
+//!   solved by IC(0)-CG to a prediction-grade relative tolerance of
+//!   1e-3. The adaptive k is one cell per strap crossing (at most 256 per
+//!   side), so the coarse system has one unknown per crossing cell that
+//!   no supply pin holds: 8,320 on ibmpg6@0.02, 8,455 on ibmpg3@0.02,
+//!   3,128 on ibmpg2@0.05. The iteration count depends on the pads:
+//!   1 on the flip-chip ibmpg6@0.02, whose coarse system is diagonal,
+//!   79 on the wire-bond ibmpg3@0.02 and 51 on ibmpg2@0.05.
+//! * **Local KCL sweeps.** A fixed budget of Gauss–Seidel sweeps over
+//!   every node, started from the coarse solution, restores per-node
+//!   detail.
+//!
+//! Everything that depends only on the topology and on k is a *plan*:
+//! the node→cell map and the coarse unknowns, the segment derating, the
+//! coarse stamps, and the sweep adjacency. The plan of the adaptive k is
+//! built once per design, by its first estimate or ahead of time by
+//! [`IrPredictor::prepare`], and kept in
+//! [`SyntheticBenchmark::topology_memo`], which every clone shares, so
+//! a request's test design reuses its base's plan and a call does only
+//! value work.
 
 use ppdl_analysis::IrDropMap;
-use ppdl_netlist::{NodeId, Orientation, SyntheticBenchmark};
+use ppdl_netlist::{Orientation, SyntheticBenchmark};
+use ppdl_solver::{CgOptions, ConjugateGradient, PrecondKind, TripletMatrix};
 
 use crate::CoreError;
+
+/// Marks a node or load that feeds no coarse unknown.
+const NONE: u32 = u32::MAX;
 
 /// The Kirchhoff-based IR-drop estimate for a benchmark.
 #[derive(Debug, Clone)]
@@ -96,8 +105,8 @@ impl Default for IrPredictor {
 
 impl IrPredictor {
     /// Creates a predictor with the default budget: an adaptive coarse
-    /// grid (about half the strap count per side) and 15 smoothing
-    /// sweeps.
+    /// grid (one cell per strap crossing, at most 256 per side) and 15
+    /// smoothing sweeps.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -123,86 +132,189 @@ impl IrPredictor {
         self.sweeps
     }
 
+    /// Builds the plan of the adaptive coarse grid for `bench` and keeps
+    /// it in [`SyntheticBenchmark::topology_memo`], unless it is there
+    /// already. Every later adaptive-budget
+    /// [`predict`](Self::predict) on `bench` or on any clone of it then
+    /// does no set-up work. Call it where a base design is stored, so
+    /// the first request does not pay for the build.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if the benchmark's nodes
+    /// carry no coordinates or it is too large for 32-bit indices.
+    pub fn prepare(bench: &SyntheticBenchmark) -> crate::Result<()> {
+        adaptive_plan(bench).map(|_| ())
+    }
+
     /// Estimates IR drop for `bench` assuming the straps have the
     /// given `widths` (one per strap, e.g. the DL-predicted widths).
+    ///
+    /// The adaptive budget reuses the plan memoised on `bench` (see
+    /// [`prepare`](Self::prepare)), building it on first use; an
+    /// explicit `coarse_cells` builds a plan for this call alone.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `widths` does not have
-    /// one positive entry per strap or the benchmark has no supply,
-    /// and propagates solver errors from the (tiny) coarse solve.
+    /// one positive entry per strap, if a width gives a segment or via
+    /// a conductance that is not finite and positive (a width so small
+    /// or so large that it underflows or overflows), or if the benchmark
+    /// has no supply or no node coordinates, and propagates solver
+    /// errors from the coarse solve.
     pub fn predict(
         &self,
         bench: &SyntheticBenchmark,
         widths: &[f64],
     ) -> crate::Result<PredictedIr> {
         validate_widths(bench, widths)?;
-        let net = bench.network();
-        if net.voltage_sources().is_empty() {
+        if bench.network().voltage_sources().is_empty() {
             return Err(CoreError::InvalidConfig {
                 detail: "benchmark has no supply pins".into(),
             });
         }
-        let n = net.node_count();
-
-        // Per-resistor conductances under the proposed widths.
-        let mut conductance: Vec<f64> = net
-            .resistors()
-            .iter()
-            .map(|r| if r.is_short() { 0.0 } else { 1.0 / r.ohms })
-            .collect();
-        for seg in bench.segments() {
-            let strap = &bench.straps()[seg.strap];
-            let rho = bench.spec().sheet_resistance(strap.orientation);
-            conductance[seg.resistor] = widths[seg.strap] / (rho * seg.length);
-        }
-        for via in bench.vias() {
-            let ohms = bench.via_resistance_for_width(widths[via.lower_strap]);
-            conductance[via.resistor] = 1.0 / ohms;
-        }
-
-        // --- Stage 1: coarse Kirchhoff solve -------------------------
-        // Aggregate nodes into K x K die cells (both layers together —
-        // vias are low-resistance) and solve the aggregated network
-        // exactly. This is eqs. 7-9 applied at line-bundle granularity:
-        // each coarse edge carries the accumulated current of the strap
-        // bundle crossing the cell boundary.
-        let ((min_x, min_y), (max_x, max_y)) =
-            net.bounding_box().ok_or_else(|| CoreError::InvalidConfig {
-                detail: "benchmark nodes carry no coordinates".into(),
-            })?;
-        let k = if self.coarse_cells >= 2 {
-            self.coarse_cells
+        let built;
+        let plan = if self.coarse_cells >= 2 {
+            built = KirchhoffPlan::build(bench, self.coarse_cells).map_err(invalid)?;
+            &built
         } else {
-            // Adaptive: one cell per strap crossing (both layers merged
-            // into one Kirchhoff node) is near-exact; the reduction
-            // comes from halving the unknowns, dropping the vias, and
-            // the loose tolerance below. The cap bounds the coarse
-            // system on full-size grids at a small accuracy cost.
-            let max_dir = bench
-                .straps()
-                .iter()
-                .filter(|s| s.orientation == Orientation::Vertical)
-                .count()
-                .max(
-                    bench
-                        .straps()
-                        .iter()
-                        .filter(|s| s.orientation == Orientation::Horizontal)
-                        .count(),
-                );
-            max_dir.clamp(8, 256)
+            adaptive_plan(bench)?
         };
+        let (conductance, coarse) = {
+            let _span = ppdl_obs::span("coarse");
+            let conductance = plan.conductances(bench, widths)?;
+            let coarse = plan.coarse_solve(bench, &conductance)?;
+            (conductance, coarse)
+        };
+        let _span = ppdl_obs::span("sweeps");
+        plan.relax(bench, &conductance, &coarse, self.sweeps)
+    }
+}
+
+fn validate_widths(bench: &SyntheticBenchmark, widths: &[f64]) -> crate::Result<()> {
+    let straps = bench.straps().len();
+    if widths.len() != straps || widths.iter().any(|w| !(w.is_finite() && *w > 0.0)) {
+        return Err(invalid(format!(
+            "need one finite, positive width per strap: {} widths for {straps} straps",
+            widths.len()
+        )));
+    }
+    Ok(())
+}
+
+fn invalid(detail: String) -> CoreError {
+    CoreError::InvalidConfig { detail }
+}
+
+/// A derived conductance of strap `strap`, rejected unless finite and
+/// positive: a zero one would drop the element from the estimate.
+fn checked(conductance: f64, strap: usize, widths: &[f64]) -> crate::Result<f64> {
+    if conductance.is_finite() && conductance > 0.0 {
+        Ok(conductance)
+    } else {
+        Err(invalid(format!(
+            "strap {strap} width {:e} gives conductance {conductance:e}; it must be finite and > 0",
+            widths[strap]
+        )))
+    }
+}
+
+/// The plan of the adaptive coarse grid, memoised on `bench` and shared
+/// by its clones.
+fn adaptive_plan(bench: &SyntheticBenchmark) -> crate::Result<&KirchhoffPlan> {
+    let memo = bench.topology_memo().get_or_init(|| {
+        let k = adaptive_cells(bench);
+        Box::new(KirchhoffPlan::build(bench, k))
+    });
+    match memo.downcast_ref::<Result<KirchhoffPlan, String>>() {
+        Some(Ok(plan)) => Ok(plan),
+        Some(Err(detail)) => Err(invalid(detail.clone())),
+        None => Err(invalid(
+            "the benchmark's topology memo holds something other than a Kirchhoff plan".into(),
+        )),
+    }
+}
+
+/// The adaptive k: one cell per strap crossing (both layers merged into
+/// one Kirchhoff node) is near-exact; the reduction comes from halving
+/// the unknowns, dropping the vias, and the loose tolerance of the
+/// coarse solve. The cap bounds the coarse system on full-size grids at
+/// a small accuracy cost.
+fn adaptive_cells(bench: &SyntheticBenchmark) -> usize {
+    let count = |o: Orientation| bench.straps().iter().filter(|s| s.orientation == o).count();
+    count(Orientation::Vertical)
+        .max(count(Orientation::Horizontal))
+        .clamp(8, 256)
+}
+
+/// Everything [`IrPredictor::predict`] derives from the topology and k
+/// alone, with `u32` indices.
+#[derive(Debug)]
+struct KirchhoffPlan {
+    /// Per node, then per load: the coarse unknown of its cell, or
+    /// [`NONE`] (no coordinates, or a pinned or untouched cell).
+    node_unknown: Vec<u32>,
+    load_unknown: Vec<u32>,
+    /// Coarse unknowns: the cells touched by a cell-to-cell resistor
+    /// and holding no supply pin, in cell order.
+    unknowns: usize,
+    /// Resistors whose conductance is `1 / ohms`: neither segment nor
+    /// via (those follow the widths), and not a short.
+    ohmic: Vec<u32>,
+    /// The coarse stamps, in resistor order.
+    stamps: Vec<CoarseStamp>,
+    /// Node `i`'s conducting resistors, in resistor order, are
+    /// `adj_resistor[adj_start[i]..adj_start[i + 1]]`, leading to the
+    /// nodes `adj_node` of the same range.
+    adj_start: Vec<u32>,
+    adj_node: Vec<u32>,
+    adj_resistor: Vec<u32>,
+    /// Nodes holding a supply pin, and the nodes a sweep relaxes
+    /// (ascending: unpinned, with a conducting resistor).
+    pinned: Vec<bool>,
+    relaxed: Vec<u32>,
+}
+
+/// A conducting resistor between two cells, at least one an unknown.
+#[derive(Debug, Clone, Copy)]
+struct CoarseStamp {
+    resistor: u32,
+    /// The homogenisation derating of a segment; 1 for other resistors.
+    scale: f64,
+    /// The ends' coarse unknowns; [`NONE`] for a pinned cell, which the
+    /// reduced system grounds.
+    a: u32,
+    b: u32,
+}
+
+impl KirchhoffPlan {
+    /// Builds the plan for a k × k coarse grid. An error is the detail
+    /// of a [`CoreError::InvalidConfig`], kept as text so a memoised
+    /// failure can be reported again.
+    fn build(bench: &SyntheticBenchmark, k: usize) -> Result<Self, String> {
+        let _span = ppdl_obs::span("core/kirchhoff-plan");
+        ppdl_obs::counter_add("core/kirchhoff/plan_builds", 1);
+        let net = bench.network();
+        let (n, resistors) = (net.node_count(), net.resistors());
+        if n.max(2 * resistors.len()).max(net.current_loads().len()) >= NONE as usize {
+            return Err(format!("{n} nodes exceed the plan's 32-bit indices"));
+        }
+        let ((min_x, min_y), (max_x, max_y)) = net
+            .bounding_box()
+            .ok_or("benchmark nodes carry no coordinates")?;
         let wx = (max_x - min_x).max(1) as f64;
         let wy = (max_y - min_y).max(1) as f64;
-        let cell_of = |id: usize| -> Option<usize> {
-            net.node_names()[id].coordinates().map(|(x, y)| {
-                let cx = (((x - min_x) as f64 / wx) * k as f64).min(k as f64 - 1.0) as usize;
-                let cy = (((y - min_y) as f64 / wy) * k as f64).min(k as f64 - 1.0) as usize;
-                cy * k + cx
-            })
+        let cell = |v: i64, min: i64, w: f64| {
+            ((((v - min) as f64 / w) * k as f64).min(k as f64 - 1.0)) as usize
         };
-        let cells: Vec<Option<usize>> = (0..n).map(cell_of).collect();
+        let cells: Vec<Option<usize>> = net
+            .node_names()
+            .iter()
+            .map(|name| {
+                name.coordinates()
+                    .map(|(x, y)| cell(y, min_y, wy) * k + cell(x, min_x, wx))
+            })
+            .collect();
 
         // Homogenisation: a cell bundles several parallel straps, but a
         // cell-to-cell path also chains several segments in series.
@@ -210,104 +322,188 @@ impl IrPredictor {
         // conductance would make the coarse grid (cell/pitch)x too
         // conductive, so each segment is derated by its length relative
         // to the cell extent along its strap.
-        let cell_wx = wx / 1000.0 / k as f64;
-        let cell_wy = wy / 1000.0 / k as f64;
-        let mut g_scale = vec![1.0; net.resistors().len()];
+        let (cell_wx, cell_wy) = (wx / 1000.0 / k as f64, wy / 1000.0 / k as f64);
+        let mut scale = vec![1.0; resistors.len()];
+        let mut by_width = vec![false; resistors.len()];
         for seg in bench.segments() {
             let extent = match bench.straps()[seg.strap].orientation {
                 Orientation::Vertical => cell_wy,
                 Orientation::Horizontal => cell_wx,
             };
-            g_scale[seg.resistor] = (seg.length / extent).min(1.0);
+            scale[seg.resistor] = (seg.length / extent).min(1.0);
+            by_width[seg.resistor] = true;
         }
+        for via in bench.vias() {
+            by_width[via.resistor] = true;
+        }
+        let conducts = |ri: usize| by_width[ri] || !resistors[ri].is_short();
 
-        let m = k * k;
-        let mut coarse_diag_touch = vec![false; m];
-        let mut coarse_load = vec![0.0; m];
-        let mut coarse_pinned = vec![false; m];
-        for r in net.resistors() {
+        let mut touched = vec![false; k * k];
+        let mut pinned_cell = vec![false; k * k];
+        for r in resistors {
             if let (Some(ca), Some(cb)) = (cells[r.a.0], cells[r.b.0]) {
-                if ca != cb {
-                    coarse_diag_touch[ca] = true;
-                    coarse_diag_touch[cb] = true;
-                }
-            }
-        }
-        for l in net.current_loads() {
-            if let Some(c) = cells[l.node.0] {
-                coarse_load[c] += l.amps;
+                touched[ca] |= ca != cb;
+                touched[cb] |= ca != cb;
             }
         }
         for s in net.voltage_sources() {
             if let Some(c) = cells[s.node.0] {
-                coarse_pinned[c] = true;
+                pinned_cell[c] = true;
             }
         }
-        // Unknowns: occupied, unpinned cells; pinned cells sit at drop 0.
-        let mut index = vec![usize::MAX; m];
-        let mut unknowns = Vec::new();
-        for c in 0..m {
-            if coarse_diag_touch[c] && !coarse_pinned[c] {
-                index[c] = unknowns.len();
-                unknowns.push(c);
-            }
+        let mut index = vec![NONE; k * k];
+        let mut unknowns = 0;
+        for c in (0..k * k).filter(|&c| touched[c] && !pinned_cell[c]) {
+            index[c] = unknowns;
+            unknowns += 1;
         }
-        let u = unknowns.len();
-        let mut reduced = ppdl_solver::TripletMatrix::new(u, u);
-        let mut rhs = vec![0.0; u];
-        for (ri, r) in net.resistors().iter().enumerate() {
-            let g = conductance[ri] * g_scale[ri];
-            if g <= 0.0 {
-                continue;
-            }
+        let unknown_of = |node: usize| cells[node].map_or(NONE, |c| index[c]);
+
+        let mut stamps = Vec::new();
+        let mut adjacency = vec![Vec::new(); n];
+        for (ri, r) in resistors.iter().enumerate().filter(|&(ri, _)| conducts(ri)) {
+            adjacency[r.a.0].push((r.b.0 as u32, ri as u32));
+            adjacency[r.b.0].push((r.a.0 as u32, ri as u32));
             let (Some(ca), Some(cb)) = (cells[r.a.0], cells[r.b.0]) else {
                 continue;
             };
-            if ca == cb {
-                continue;
-            }
-            match (index[ca], index[cb]) {
-                (usize::MAX, usize::MAX) => {}
-                (ia, usize::MAX) => reduced.stamp_grounded_conductance(ia, g),
-                (usize::MAX, ib) => reduced.stamp_grounded_conductance(ib, g),
-                (ia, ib) => reduced.stamp_conductance(ia, ib, g),
-            }
-        }
-        for (ui, &c) in unknowns.iter().enumerate() {
-            rhs[ui] = coarse_load[c];
-        }
-        let mut coarse_drop = vec![0.0; m];
-        if u > 0 {
-            let reduced_csr = reduced.to_csr();
-            let map_err = |e: ppdl_solver::SolverError| CoreError::Analysis(e.into());
-            // Prediction-grade tolerance: well below the millivolt
-            // resolution the estimate targets, far looser than the
-            // conventional sign-off solve.
-            let sol = ppdl_solver::ConjugateGradient::new(ppdl_solver::CgOptions {
-                tolerance: 1e-3,
-                precond: ppdl_solver::PrecondKind::Ic0,
-                ..ppdl_solver::CgOptions::default()
-            })
-            .solve(&reduced_csr, &rhs)
-            .map_err(map_err)?;
-            for (ui, &c) in unknowns.iter().enumerate() {
-                coarse_drop[c] = sol.x[ui];
+            if ca != cb && (index[ca], index[cb]) != (NONE, NONE) {
+                stamps.push(CoarseStamp {
+                    resistor: ri as u32,
+                    scale: scale[ri],
+                    a: index[ca],
+                    b: index[cb],
+                });
             }
         }
+        let unknowns = unknowns as usize;
+        let mut adj_start = vec![0];
+        adj_start.extend(adjacency.iter().scan(0, |end, list| {
+            *end += list.len() as u32;
+            Some(*end)
+        }));
+        let (adj_node, adj_resistor) = adjacency.into_iter().flatten().unzip();
+        let mut pinned = vec![false; n];
+        for s in net.voltage_sources() {
+            pinned[s.node.0] = true;
+        }
+        Ok(Self {
+            node_unknown: (0..n).map(unknown_of).collect(),
+            load_unknown: net
+                .current_loads()
+                .iter()
+                .map(|l| unknown_of(l.node.0))
+                .collect(),
+            unknowns,
+            ohmic: (0..resistors.len())
+                .filter(|&ri| conducts(ri) && !by_width[ri])
+                .map(|ri| ri as u32)
+                .collect(),
+            stamps,
+            relaxed: (0..n)
+                .filter(|&i| !pinned[i] && adj_start[i + 1] > adj_start[i])
+                .map(|i| i as u32)
+                .collect(),
+            adj_start,
+            adj_node,
+            adj_resistor,
+            pinned,
+        })
+    }
 
-        // --- Stage 2: interpolate + fixed local KCL sweeps -----------
-        let mut neighbors: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        let mut diag = vec![0.0; n];
-        for (ri, r) in net.resistors().iter().enumerate() {
-            let g = conductance[ri];
+    /// Per-resistor conductances under `widths`: `w / (ρ·ℓ)` for a
+    /// segment, the width-scaled array for a via, `1 / ohms` for any
+    /// other resistor, and 0 for a short (which nothing reads).
+    fn conductances(&self, bench: &SyntheticBenchmark, widths: &[f64]) -> crate::Result<Vec<f64>> {
+        let resistors = bench.network().resistors();
+        let mut conductance = vec![0.0; resistors.len()];
+        for &ri in &self.ohmic {
+            conductance[ri as usize] = 1.0 / resistors[ri as usize].ohms;
+        }
+        for seg in bench.segments() {
+            let rho = bench
+                .spec()
+                .sheet_resistance(bench.straps()[seg.strap].orientation);
+            let g = widths[seg.strap] / (rho * seg.length);
+            conductance[seg.resistor] = checked(g, seg.strap, widths)?;
+        }
+        for via in bench.vias() {
+            let g = 1.0 / bench.via_resistance_for_width(widths[via.lower_strap]);
+            conductance[via.resistor] = checked(g, via.lower_strap, widths)?;
+        }
+        Ok(conductance)
+    }
+
+    /// Stage 1: stamps the coarse system at `conductance` and solves it
+    /// for each unknown's drop.
+    fn coarse_solve(
+        &self,
+        bench: &SyntheticBenchmark,
+        conductance: &[f64],
+    ) -> crate::Result<Vec<f64>> {
+        if self.unknowns == 0 {
+            return Ok(Vec::new());
+        }
+        let mut rhs = vec![0.0; self.unknowns];
+        for (l, &u) in bench
+            .network()
+            .current_loads()
+            .iter()
+            .zip(&self.load_unknown)
+        {
+            if u != NONE {
+                rhs[u as usize] += l.amps;
+            }
+        }
+        let mut t =
+            TripletMatrix::with_capacity(self.unknowns, self.unknowns, 4 * self.stamps.len());
+        for s in &self.stamps {
+            // A derated conductance of 0 (a zero-length segment, or an
+            // underflow) is left out; a pinned end is ground, so only
+            // the other end's diagonal is stamped.
+            let g = conductance[s.resistor as usize] * s.scale;
             if g <= 0.0 {
                 continue;
             }
-            neighbors[r.a.0].push((r.b.0, g));
-            neighbors[r.b.0].push((r.a.0, g));
-            diag[r.a.0] += g;
-            diag[r.b.0] += g;
+            match (s.a, s.b) {
+                (a, NONE) | (NONE, a) => t.stamp_grounded_conductance(a as usize, g),
+                (a, b) => t.stamp_conductance(a as usize, b as usize, g),
+            }
         }
+        // Prediction-grade tolerance: well below the millivolt
+        // resolution the estimate targets, far looser than the
+        // conventional sign-off solve.
+        let options = CgOptions {
+            tolerance: 1e-3,
+            precond: PrecondKind::Ic0,
+            ..CgOptions::default()
+        };
+        let sol = ConjugateGradient::new(options)
+            .solve(&t.to_csr(), &rhs)
+            .map_err(|e| CoreError::Analysis(e.into()))?;
+        Ok(sol.x)
+    }
+
+    /// Stage 2: interpolates the coarse drops onto the nodes, runs
+    /// `sweeps` Gauss–Seidel KCL sweeps, and reads out the estimate.
+    fn relax(
+        &self,
+        bench: &SyntheticBenchmark,
+        conductance: &[f64],
+        coarse: &[f64],
+        sweeps: usize,
+    ) -> crate::Result<PredictedIr> {
+        let net = bench.network();
+        let n = self.pinned.len();
+        let range = |i: usize| self.adj_start[i] as usize..self.adj_start[i + 1] as usize;
+        let adj_g: Vec<f64> = self
+            .adj_resistor
+            .iter()
+            .map(|&r| conductance[r as usize])
+            .collect();
+        let diag: Vec<f64> = (0..n)
+            .map(|i| adj_g[range(i)].iter().fold(0.0, |sum, &g| sum + g))
+            .collect();
         let mut loads = vec![0.0; n];
         for l in net.current_loads() {
             loads[l.node.0] += l.amps;
@@ -315,22 +511,20 @@ impl IrPredictor {
         let vdd = net
             .supply_voltage()
             .ok_or(CoreError::Analysis(ppdl_analysis::AnalysisError::NoSupply))?;
-        let mut pinned = vec![false; n];
-        let mut d: Vec<f64> = (0..n)
-            .map(|i| cells[i].map_or(0.0, |c| coarse_drop[c]))
+        let mut d: Vec<f64> = self
+            .node_unknown
+            .iter()
+            .map(|&u| if u == NONE { 0.0 } else { coarse[u as usize] })
             .collect();
         for s in net.voltage_sources() {
-            pinned[s.node.0] = true;
             d[s.node.0] = vdd - s.volts;
         }
-        for _ in 0..self.sweeps {
-            for i in 0..n {
-                if pinned[i] || diag[i] == 0.0 {
-                    continue;
-                }
+        for _ in 0..sweeps {
+            for &i in &self.relaxed {
+                let i = i as usize;
                 let mut acc = loads[i];
-                for &(j, g) in &neighbors[i] {
-                    acc += g * d[j];
+                for (&j, &g) in self.adj_node[range(i)].iter().zip(&adj_g[range(i)]) {
+                    acc += g * d[j as usize];
                 }
                 d[i] = acc / diag[i];
             }
@@ -338,11 +532,9 @@ impl IrPredictor {
 
         let mut node_drops = vec![f64::NAN; n];
         let mut worst = 0.0_f64;
-        for i in 0..n {
-            if diag[i] > 0.0 || pinned[i] {
-                node_drops[i] = d[i];
-                worst = worst.max(d[i]);
-            }
+        for i in (0..n).filter(|&i| diag[i] > 0.0 || self.pinned[i]) {
+            node_drops[i] = d[i];
+            worst = worst.max(d[i]);
         }
         let segment_drops = bench
             .segments()
@@ -352,265 +544,21 @@ impl IrPredictor {
                 (d[r.a.0] - d[r.b.0]).abs()
             })
             .collect();
-
         Ok(PredictedIr {
             node_drops,
             worst,
             segment_drops,
         })
     }
-
-    /// The paper's literal per-line estimate (eqs. 7–9) for one strap:
-    /// the strap is treated as a loaded 1-D ladder fed at its supply
-    /// crossings, and the drop at each of its nodes is returned in
-    /// along-axis order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for a bad strap index or
-    /// width vector, or a supply-less benchmark.
-    pub fn line_estimate(
-        &self,
-        bench: &SyntheticBenchmark,
-        widths: &[f64],
-        strap_id: usize,
-    ) -> crate::Result<Vec<(NodeId, f64)>> {
-        validate_widths(bench, widths)?;
-        if strap_id >= bench.straps().len() {
-            return Err(CoreError::InvalidConfig {
-                detail: format!(
-                    "strap index {strap_id} out of range for {} straps",
-                    bench.straps().len()
-                ),
-            });
-        }
-        let net = bench.network();
-        if net.voltage_sources().is_empty() {
-            return Err(CoreError::InvalidConfig {
-                detail: "benchmark has no supply pins".into(),
-            });
-        }
-        let strap = &bench.straps()[strap_id];
-        let rho = bench.spec().sheet_resistance(strap.orientation);
-        let width = widths[strap_id];
-
-        let coord = |id: NodeId| -> Option<(f64, f64)> {
-            net.node_name(id)
-                .coordinates()
-                .map(|(x, y)| (x as f64 / 1000.0, y as f64 / 1000.0))
-        };
-        let axis = |p: (f64, f64)| match strap.orientation {
-            Orientation::Vertical => p.1,
-            Orientation::Horizontal => p.0,
-        };
-
-        // Loads indexed by coordinates so a strap sees via-injected
-        // current regardless of which layer the load card names.
-        let mut coord_load: BTreeMap<(i64, i64), f64> = BTreeMap::new();
-        for l in net.current_loads() {
-            if let Some(xy) = net.node_name(l.node).coordinates() {
-                *coord_load.entry(xy).or_insert(0.0) += l.amps;
-            }
-        }
-        let mut source_nodes: BTreeSet<usize> = BTreeSet::new();
-        let mut source_coords: BTreeSet<(i64, i64)> = BTreeSet::new();
-        let mut source_points: Vec<(f64, f64)> = Vec::new();
-        for s in net.voltage_sources() {
-            source_nodes.insert(s.node.0);
-            if let Some(xy) = net.node_name(s.node).coordinates() {
-                source_coords.insert(xy);
-                source_points.push((xy.0 as f64 / 1000.0, xy.1 as f64 / 1000.0));
-            }
-        }
-        let nearest_source_dist = |p: (f64, f64)| -> f64 {
-            source_points
-                .iter()
-                .map(|s| ((s.0 - p.0).powi(2) + (s.1 - p.1).powi(2)).sqrt())
-                .fold(f64::INFINITY, f64::min)
-        };
-
-        // Collect the strap's nodes ordered along its axis.
-        let mut nodes: Vec<(usize, f64)> = Vec::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for seg in bench.segments().iter().filter(|s| s.strap == strap_id) {
-            let r = &net.resistors()[seg.resistor];
-            for id in [r.a, r.b] {
-                if seen.insert(id.0) {
-                    if let Some(p) = coord(id) {
-                        nodes.push((id.0, axis(p)));
-                    }
-                }
-            }
-        }
-        nodes.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let m = nodes.len();
-        if m < 2 {
-            return Ok(nodes.into_iter().map(|(id, _)| (NodeId(id), 0.0)).collect());
-        }
-        let loads: Vec<f64> = nodes
-            .iter()
-            .map(|(id, _)| {
-                net.node_name(NodeId(*id))
-                    .coordinates()
-                    .and_then(|xy| coord_load.get(&xy).copied())
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let total: f64 = loads.iter().sum();
-        let res: Vec<f64> = (0..m - 1)
-            .map(|j| rho * (nodes[j + 1].1 - nodes[j].1) / width)
-            .collect();
-
-        // Feed detection: a direct pin, or a pin across the via.
-        let mut feeds: Vec<(usize, f64)> = Vec::new();
-        for (j, (id, _)) in nodes.iter().enumerate() {
-            if source_nodes.contains(id) {
-                feeds.push((j, 0.0));
-            } else if let Some(xy) = net.node_name(NodeId(*id)).coordinates() {
-                if source_coords.contains(&xy) {
-                    feeds.push((j, f64::NAN));
-                }
-            }
-        }
-        let via_base = total * bench.spec().via_resistance / feeds.len().max(1) as f64;
-        for f in &mut feeds {
-            if f.1.is_nan() {
-                f.1 = via_base;
-            }
-        }
-        if feeds.is_empty() {
-            // Fallback: the node nearest a pin, with the via plus the
-            // orthogonal-layer return run. Strap nodes without grid
-            // coordinates cannot anchor the fallback, so they are
-            // skipped rather than panicking the serving process; a
-            // strap with *no* locatable node is a malformed design and
-            // surfaces as a typed wire error.
-            let (j, p) = nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(j, (id, _))| coord(NodeId(*id)).map(|p| (j, p)))
-                .min_by(|(_, a), (_, b)| {
-                    nearest_source_dist(*a).total_cmp(&nearest_source_dist(*b))
-                })
-                .ok_or_else(|| CoreError::InvalidConfig {
-                    detail: format!(
-                        "strap {strap_id} has no node with grid coordinates to anchor a feed"
-                    ),
-                })?;
-            let other = match strap.orientation {
-                Orientation::Vertical => Orientation::Horizontal,
-                Orientation::Horizontal => Orientation::Vertical,
-            };
-            let rho_other = bench.spec().sheet_resistance(other);
-            let other_width = widths
-                .iter()
-                .zip(bench.straps())
-                .filter(|(_, s)| s.orientation == other)
-                .map(|(w, _)| *w)
-                .fold(0.1_f64, f64::max);
-            let base = total
-                * (bench.spec().via_resistance + rho_other * nearest_source_dist(p) / other_width);
-            feeds.push((j, base));
-        }
-
-        let drops = solve_strap_ladder(&loads, &res, &feeds);
-        Ok(nodes
-            .into_iter()
-            .zip(drops)
-            .map(|((id, _), drop)| (NodeId(id), drop))
-            .collect())
-    }
-}
-
-fn validate_widths(bench: &SyntheticBenchmark, widths: &[f64]) -> crate::Result<()> {
-    if widths.len() != bench.straps().len() {
-        return Err(CoreError::InvalidConfig {
-            detail: format!(
-                "{} widths for {} straps",
-                widths.len(),
-                bench.straps().len()
-            ),
-        });
-    }
-    if let Some(w) = widths.iter().find(|w| !(w.is_finite() && **w > 0.0)) {
-        return Err(CoreError::InvalidConfig {
-            detail: format!("strap width {w} must be positive"),
-        });
-    }
-    Ok(())
-}
-
-/// Solves a loaded 1-D resistor ladder with Dirichlet values at the
-/// feed indices, in closed form per interval (eqs. 7–9 applied along
-/// one power-grid line).
-///
-/// `loads[k]` is the current drawn at node `k`; `res[k]` the resistance
-/// between nodes `k` and `k+1`; `feeds` a non-empty list of
-/// `(index, drop)` pins. Returns the drop at every node.
-fn solve_strap_ladder(loads: &[f64], res: &[f64], feeds: &[(usize, f64)]) -> Vec<f64> {
-    let m = loads.len();
-    let mut feeds: Vec<(usize, f64)> = feeds.to_vec();
-    feeds.sort_by_key(|(k, _)| *k);
-    feeds.dedup_by_key(|(k, _)| *k);
-    let mut drops = vec![0.0; m];
-    for &(k, base) in &feeds {
-        drops[k] = base;
-    }
-
-    // Tail before the first feed: all current flows toward it.
-    let (first, _) = feeds[0];
-    for k in (0..first).rev() {
-        let upstream: f64 = loads[..=k].iter().sum();
-        drops[k] = drops[k + 1] + res[k] * upstream;
-    }
-
-    // Tail after the last feed.
-    let (last, _) = feeds[feeds.len() - 1];
-    for k in (last + 1)..m {
-        let downstream: f64 = loads[k..].iter().sum();
-        drops[k] = drops[k - 1] + res[k - 1] * downstream;
-    }
-
-    // Intervals between consecutive feeds: both ends pinned. Let `c`
-    // be the current entering rightward from the left feed; after the
-    // interior loads S_j (at nodes a+1..=j) segment j carries c − S_j,
-    // and drops accumulate as d_{j+1} = d_j + R_j (c − S_j). The right
-    // boundary value fixes c in closed form.
-    for w in feeds.windows(2) {
-        let (a, da) = w[0];
-        let (b, db) = w[1];
-        if b <= a + 1 {
-            continue;
-        }
-        let mut r_total = 0.0;
-        let mut rs_total = 0.0;
-        let mut s = 0.0;
-        for j in a..b {
-            if j > a {
-                s += loads[j];
-            }
-            r_total += res[j];
-            rs_total += res[j] * s;
-        }
-        let c = (db - da + rs_total) / r_total;
-        let mut d = da;
-        let mut s = 0.0;
-        for j in a..b - 1 {
-            if j > a {
-                s += loads[j];
-            }
-            d += res[j] * (c - s);
-            drops[j + 1] = d;
-        }
-    }
-    drops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppdl_analysis::StaticAnalysis;
-    use ppdl_netlist::IbmPgPreset;
+    use ppdl_netlist::{IbmPgPreset, NodeName};
+
+    use crate::{Perturbation, PerturbationKind};
 
     fn bench_perimeter() -> SyntheticBenchmark {
         SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.005, 21).unwrap()
@@ -621,75 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_single_feed_matches_hand_calc() {
-        // 3 nodes, feed at 0 with base 0, loads 0/1/1, R = 1 each.
-        // Segment (0,1) carries 2 A -> d1 = 2; segment (1,2) carries 1 A
-        // -> d2 = 3.
-        let drops = solve_strap_ladder(&[0.0, 1.0, 1.0], &[1.0, 1.0], &[(0, 0.0)]);
-        assert_eq!(drops, vec![0.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn ladder_feed_at_right_end() {
-        let drops = solve_strap_ladder(&[1.0, 1.0, 0.0], &[1.0, 1.0], &[(2, 0.5)]);
-        assert_eq!(drops, vec![3.5, 2.5, 0.5]);
-    }
-
-    #[test]
-    fn ladder_two_feeds_splits_current() {
-        // Symmetric: feeds at both ends (base 0), unit load in the
-        // middle, R = 1 per segment: the middle node sits at 0.5.
-        let drops = solve_strap_ladder(&[0.0, 1.0, 0.0], &[1.0, 1.0], &[(0, 0.0), (2, 0.0)]);
-        assert!((drops[1] - 0.5).abs() < 1e-12, "{drops:?}");
-        assert_eq!(drops[0], 0.0);
-        assert_eq!(drops[2], 0.0);
-    }
-
-    #[test]
-    fn ladder_matches_dense_solve() {
-        // Ladder with feeds at 1 and 4 — compare against a dense nodal
-        // solve of the same 1-D network.
-        let loads = [0.3, 0.0, 0.7, 0.2, 0.0, 0.4];
-        let res = [0.5, 1.0, 0.25, 2.0, 1.5];
-        let feeds = [(1usize, 0.1), (4usize, 0.2)];
-        let drops = solve_strap_ladder(&loads, &res, &feeds);
-
-        use ppdl_solver::DenseMatrix;
-        let unknowns = [0usize, 2, 3, 5];
-        let pinned: std::collections::HashMap<usize, f64> = feeds.iter().copied().collect();
-        let idx: std::collections::HashMap<usize, usize> =
-            unknowns.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut a = DenseMatrix::zeros(4, 4);
-        let mut b = vec![0.0; 4];
-        for (j, &r) in res.iter().enumerate() {
-            let g = 1.0 / r;
-            let (u, v) = (j, j + 1);
-            for (p, q) in [(u, v), (v, u)] {
-                if let Some(&ip) = idx.get(&p) {
-                    a.add_to(ip, ip, g);
-                    if let Some(&iq) = idx.get(&q) {
-                        a.add_to(ip, iq, -g);
-                    } else {
-                        b[ip] += g * pinned[&q];
-                    }
-                }
-            }
-        }
-        for (&node, &i) in &idx {
-            b[i] += loads[node];
-        }
-        let x = a.cholesky().unwrap().solve(&b).unwrap();
-        for (&node, &i) in &idx {
-            assert!(
-                (drops[node] - x[i]).abs() < 1e-10,
-                "node {node}: ladder {} vs dense {}",
-                drops[node],
-                x[i]
-            );
-        }
-    }
-
-    #[test]
     fn width_count_validated() {
         let b = bench_perimeter();
         let p = IrPredictor::new();
@@ -697,7 +576,6 @@ mod tests {
         let mut w = b.strap_widths();
         w[0] = -1.0;
         assert!(p.predict(&b, &w).is_err());
-        assert!(p.line_estimate(&b, &b.strap_widths(), 9999).is_err());
     }
 
     #[test]
@@ -812,13 +690,148 @@ mod tests {
         assert!((e2.worst - 2.0 * e1.worst).abs() < 1e-9 * e1.worst.max(1e-12));
     }
 
+    /// FNV-1a over the estimate's bits: the worst drop, every node drop,
+    /// every segment drop.
+    fn digest(ir: &PredictedIr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let worst = std::iter::once(&ir.worst);
+        for v in worst.chain(&ir.node_drops).chain(&ir.segment_drops) {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn perturbed_widths(b: &SyntheticBenchmark) -> Vec<f64> {
+        let golden = b.strap_widths();
+        golden
+            .iter()
+            .enumerate()
+            .map(|(i, w)| w * (1.0 + 0.25 * (i % 3) as f64))
+            .collect()
+    }
+
     #[test]
-    fn line_estimate_returns_ordered_nodes() {
+    fn budgets_keep_their_pinned_results() {
+        // Bit patterns of the estimate at the golden and at perturbed
+        // widths, pinned so that how the estimate is organised cannot
+        // move a bit of what it computes.
         let b = bench_perimeter();
-        let line = IrPredictor::new()
-            .line_estimate(&b, &b.strap_widths(), 0)
-            .unwrap();
-        assert!(line.len() >= 2);
-        assert!(line.iter().all(|(_, d)| d.is_finite() && *d >= 0.0));
+        let cases = [
+            (
+                IrPredictor::new(),
+                0xe00f_4e5d_e8c5_59d5,
+                0x3e96_4c99_f453_7da4,
+            ),
+            (
+                IrPredictor::with_budget(16, 0),
+                0xad51_c38a_d670_2ef7,
+                0x1851_1bdb_0cce_c9f0,
+            ),
+            (
+                IrPredictor::with_budget(16, 15),
+                0x2116_eb3c_adca_351a,
+                0x9d8b_1a79_54f1_5f9a,
+            ),
+        ];
+        for (p, golden, perturbed) in cases {
+            assert_eq!(digest(&p.predict(&b, &b.strap_widths()).unwrap()), golden);
+            assert_eq!(
+                digest(&p.predict(&b, &perturbed_widths(&b)).unwrap()),
+                perturbed
+            );
+        }
+    }
+
+    #[test]
+    fn a_clone_sharing_the_plan_answers_like_a_fresh_bench() {
+        let base = bench_flipchip();
+        IrPredictor::prepare(&base).unwrap();
+        let p = IrPredictor::new();
+        let golden = base.strap_widths();
+        for widths in [golden.clone(), perturbed_widths(&base)] {
+            // Value edits keep the shared plan: widths, one load, the
+            // supply, and a whole perturbation.
+            let edit = |b: &mut SyntheticBenchmark| {
+                b.set_strap_widths(&widths).unwrap();
+                let amps = b.network().current_loads()[0].amps;
+                b.set_load_current(0, 1.5 * amps).unwrap();
+                b.set_source_voltage(0, 1.7).unwrap();
+            };
+            let perturbation = Perturbation::new(0.2, PerturbationKind::Both, 9).unwrap();
+            let mut shared = perturbation.apply(&base).unwrap();
+            edit(&mut shared);
+            assert!(std::ptr::eq(shared.topology_memo(), base.topology_memo()));
+            let mut fresh = perturbation.apply(&bench_flipchip()).unwrap();
+            edit(&mut fresh);
+            assert!(fresh.topology_memo().get().is_none());
+            assert_eq!(
+                digest(&p.predict(&shared, &widths).unwrap()),
+                digest(&p.predict(&fresh, &widths).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn a_topology_edit_drops_the_plan() {
+        let base = bench_perimeter();
+        let p = IrPredictor::new();
+        let widths = base.strap_widths();
+        let before = digest(&p.predict(&base, &widths).unwrap());
+        // An extra resistor between two far-apart grid nodes, applied to
+        // a clone of the planned base and to a fresh bench.
+        let extra = |b: &mut SyntheticBenchmark| -> usize {
+            let names = b.network().node_names();
+            let (first, last) = (names[0].clone(), names[names.len() - 1].clone());
+            let net = b.network_mut();
+            let (a, z) = (net.intern(first), net.intern(last));
+            net.add_resistor("Rextra", a, z, 0.05).unwrap();
+            net.resistors().len() - 1
+        };
+        let mut edited = base.clone();
+        let idx = extra(&mut edited);
+        let mut fresh = bench_perimeter();
+        extra(&mut fresh);
+        let added = digest(&p.predict(&edited, &widths).unwrap());
+        assert_ne!(added, before);
+        assert_eq!(added, digest(&p.predict(&fresh, &widths).unwrap()));
+        // Shorting it (0 Ω) takes it out of the estimate again.
+        edited.network_mut().set_resistance(idx, 0.0).unwrap();
+        fresh.network_mut().set_resistance(idx, 0.0).unwrap();
+        let shorted = digest(&p.predict(&edited, &widths).unwrap());
+        assert_eq!(shorted, before);
+        assert_eq!(shorted, digest(&p.predict(&fresh, &widths).unwrap()));
+        // A new node with a load: the plan must cover it too.
+        let net = edited.network_mut();
+        let far = net.intern(NodeName::grid(9, 0, 0));
+        let first = net.node_names()[0].clone();
+        let near = net.intern(first);
+        net.add_resistor("Rstub", near, far, 0.5).unwrap();
+        net.add_current_load("istub", far, 0.01).unwrap();
+        let stub = p.predict(&edited, &widths).unwrap();
+        assert_eq!(stub.node_drops.len(), edited.network().node_count());
+        assert!(stub.node_drops[far.0] > stub.node_drops[near.0]);
+    }
+
+    #[test]
+    fn a_width_whose_conductance_underflows_is_rejected() {
+        let b = SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.005, 3).unwrap();
+        for tiny in [5e-324, f64::MAX] {
+            let mut w = b.strap_widths();
+            w[0] = tiny;
+            match IrPredictor::new().predict(&b, &w) {
+                Err(CoreError::InvalidConfig { detail }) => {
+                    assert!(detail.contains("strap 0 "), "{detail}");
+                }
+                other => panic!("width {tiny:e}: expected a typed rejection, got {other:?}"),
+            }
+        }
+        // The netlist's width setter refuses the underflowing width too
+        // (its resistance overflows to infinity).
+        let mut w = b.strap_widths();
+        w[0] = 5e-324;
+        assert!(b.clone().set_strap_widths(&w).is_err());
     }
 }

@@ -131,14 +131,9 @@ impl Perturbation {
             self.kind,
             PerturbationKind::CurrentWorkloads | PerturbationKind::Both
         ) {
-            let loads: Vec<f64> = out
-                .network()
-                .current_loads()
-                .iter()
-                .map(|l| l.amps * factor(&mut rng))
-                .collect();
-            for (i, amps) in loads.iter().enumerate() {
-                out.network_mut().set_load_current(i, *amps)?;
+            for i in 0..out.network().current_loads().len() {
+                let amps = out.network().current_loads()[i].amps * factor(&mut rng);
+                out.set_load_current(i, amps)?;
             }
         }
         if matches!(
@@ -151,14 +146,9 @@ impl Perturbation {
             // "drop below Vdd" metric reflect the jitter spread rather
             // than grid resistance.)
             let f = factor(&mut rng);
-            let volts: Vec<f64> = out
-                .network()
-                .voltage_sources()
-                .iter()
-                .map(|s| s.volts * f)
-                .collect();
-            for (i, v) in volts.iter().enumerate() {
-                out.network_mut().set_source_voltage(i, *v)?;
+            for i in 0..out.network().voltage_sources().len() {
+                let volts = out.network().voltage_sources()[i].volts * f;
+                out.set_source_voltage(i, volts)?;
             }
         }
         Ok(out)

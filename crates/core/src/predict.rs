@@ -184,7 +184,7 @@ impl PredictRequest {
                     detail: format!("load override index {index} out of range ({n_loads} loads)"),
                 });
             }
-            bench.network_mut().set_load_current(index, amps)?;
+            bench.set_load_current(index, amps)?;
         }
         if let Some(widths) = &self.width_overrides {
             // set_strap_widths enforces the one-entry-per-strap length
@@ -300,8 +300,12 @@ pub fn predict(
     request: &PredictRequest,
     default_stride: usize,
 ) -> crate::Result<Prediction> {
+    let _span = ppdl_obs::span("core/predict");
     request.validate()?;
-    let test_bench = request.apply(base)?;
+    let test_bench = {
+        let _span = ppdl_obs::span("apply");
+        request.apply(base)?
+    };
     let stride = request.stride.unwrap_or(default_stride).max(1);
     // ppdl-lint: allow(determinism/wall-clock) -- reports dl_ms latency alongside the prediction; the widths themselves are deterministic
     let t0 = Instant::now();
@@ -309,11 +313,17 @@ pub fn predict(
     // exact widths to score (already applied to `test_bench` by
     // `apply`), so only the Kirchhoff IR estimate runs — the cheap
     // cost-oracle path the synthesis optimizer hammers.
-    let widths = match &request.width_overrides {
-        Some(w) => w.clone(),
-        None => predictor.predict_strap_widths_sampled(&test_bench, stride)?,
+    let widths = {
+        let _span = ppdl_obs::span("widths");
+        match &request.width_overrides {
+            Some(w) => w.clone(),
+            None => predictor.predict_strap_widths_sampled(&test_bench, stride)?,
+        }
     };
-    let ir = IrPredictor::new().predict(&test_bench, &widths)?;
+    let ir = {
+        let _span = ppdl_obs::span("kirchhoff");
+        IrPredictor::new().predict(&test_bench, &widths)?
+    };
     let dl_secs = t0.elapsed().as_secs_f64();
     Ok(Prediction {
         response: PredictResponse {
@@ -488,7 +498,9 @@ impl TrainedBundle {
     /// deterministic grid generation, then the calibrated loads and
     /// golden widths are restored — the same recipe the pipeline's
     /// warm-cache path uses, so the result is bit-identical to the
-    /// original sized benchmark.
+    /// original sized benchmark. The Kirchhoff estimate's plan is built
+    /// before it returns ([`IrPredictor::prepare`]), so every request
+    /// against the base, whose test design is a clone, finds it ready.
     ///
     /// # Errors
     ///
@@ -518,6 +530,7 @@ impl TrainedBundle {
         }
         bench.set_load_currents(&self.loads)?;
         bench.set_strap_widths(&self.golden_widths)?;
+        IrPredictor::prepare(&bench)?;
         Ok(bench)
     }
 

@@ -11,7 +11,10 @@
 //! `PPDL_THREADS` environment variable.
 
 use ppdl_analysis::StaticAnalysis;
-use ppdl_core::{FeatureExtractor, IrPredictor, PredictorConfig, WidthPredictor};
+use ppdl_core::{
+    FeatureExtractor, IrPredictor, Perturbation, PerturbationKind, PredictedIr, PredictorConfig,
+    WidthPredictor,
+};
 use ppdl_netlist::{IbmPgPreset, SyntheticBenchmark};
 use ppdl_nn::{Activation, Adam, Layer, Loss, Matrix, MlpBuilder, Network};
 use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
@@ -118,11 +121,9 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// The fast IR estimate accumulates per-coordinate load currents into a
-/// map before feeding the coarse grid. That accumulation must iterate
-/// in a deterministic key order (`BTreeMap`, not `HashMap` — see
-/// `determinism/hashmap-iter` in DESIGN.md §12), or the float sums —
-/// and every drop downstream of them — drift with the hasher.
+/// The fast IR estimate sums load currents per coarse cell and per node
+/// and runs a CG solve on the thread pool; every sum must keep its
+/// order at any thread count.
 #[test]
 fn ir_prediction_is_bitwise_stable_across_thread_counts() {
     let bench = ibmpg2();
@@ -145,6 +146,57 @@ fn ir_prediction_is_bitwise_stable_across_thread_counts() {
     // in-process half.
     let again = predict(4);
     assert_bits_eq(&four.node_drops, &again.node_drops, "repeat node_drops");
+}
+
+/// Clones of one base share its Kirchhoff plan, and the first estimate
+/// on any of them builds it. Four threads racing to build it on a base
+/// that has none yet must each get what a sequential run on a fresh
+/// bench gives, bit for bit.
+#[test]
+fn concurrent_first_estimates_on_clones_match_a_sequential_run() {
+    let base = ibmpg2();
+    let requests: Vec<(Perturbation, Vec<f64>)> = (0..4u32)
+        .map(|i| {
+            let kind = PerturbationKind::ALL[i as usize % 3];
+            let p = Perturbation::new(0.1 + 0.05 * f64::from(i), kind, u64::from(i) + 1).unwrap();
+            let scale = 1.0 + 0.2 * f64::from(i);
+            let widths = base.strap_widths().iter().map(|w| w * scale).collect();
+            (p, widths)
+        })
+        .collect();
+    let sequential: Vec<PredictedIr> = requests
+        .iter()
+        .map(|(p, w)| {
+            let fresh = p.apply(&ibmpg2()).unwrap();
+            IrPredictor::new().predict(&fresh, w).unwrap()
+        })
+        .collect();
+    let clones: Vec<SyntheticBenchmark> = requests
+        .iter()
+        .map(|(p, _)| p.apply(&base).unwrap())
+        .collect();
+    assert!(base.topology_memo().get().is_none());
+    let start = std::sync::Barrier::new(clones.len());
+    let concurrent: Vec<PredictedIr> = std::thread::scope(|s| {
+        let handles: Vec<_> = clones
+            .iter()
+            .zip(&requests)
+            .map(|(bench, (_, w))| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    IrPredictor::new().predict(bench, w).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(base.topology_memo().get().is_some());
+    for (seq, con) in sequential.iter().zip(&concurrent) {
+        assert_eq!(seq.worst.to_bits(), con.worst.to_bits());
+        assert_bits_eq(&seq.node_drops, &con.node_drops, "node_drops");
+        assert_bits_eq(&seq.segment_drops, &con.segment_drops, "segment_drops");
+    }
 }
 
 /// The EM-safe width projection charges each strap for the current its

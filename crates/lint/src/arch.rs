@@ -15,9 +15,9 @@
 //! `obs/uninstrumented-hot-path` closes the loop with `ppdl-obs`: the
 //! functions on the blessed hot-path list ([`HOT_PATHS`]: CG inner
 //! solve, the GEMM kernels, pipeline stage driver, service batch
-//! flush) must contain telemetry — directly or in a direct callee —
-//! and must keep *existing* at their declared locations, so a rename
-//! can't silently drop coverage.
+//! flush, MNA solve, Kirchhoff estimate) must contain telemetry —
+//! directly or in a direct callee — and must keep *existing* at their
+//! declared locations, so a rename can't silently drop coverage.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -223,6 +223,7 @@ pub const HOT_PATHS: &[(&str, &str)] = &[
     ("core/src/pipeline/mod.rs", "run_stage"),
     ("service/src/lib.rs", "run_batch"),
     ("analysis/src/mna.rs", "solve"),
+    ("core/src/irpredict.rs", "predict"),
 ];
 
 /// Whether a body token range contains telemetry: an `ppdl_obs` path,

@@ -7,6 +7,9 @@
 //! nodes (perimeter ring or area array, mirroring the wirebond vs
 //! flip-chip structure of the real benchmarks).
 
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
+
 use ppdl_floorplan::{Floorplan, FloorplanGenerator, PadPlacement};
 
 use crate::{NetlistError, NodeName, PowerGridNetwork};
@@ -193,6 +196,8 @@ pub struct SyntheticBenchmark {
     straps: Vec<StrapInfo>,
     segments: Vec<SegmentInfo>,
     vias: Vec<ViaInfo>,
+    /// See [`topology_memo`](Self::topology_memo).
+    memo: Arc<OnceLock<Box<dyn Any + Send + Sync>>>,
 }
 
 impl SyntheticBenchmark {
@@ -408,6 +413,7 @@ impl SyntheticBenchmark {
             straps,
             segments,
             vias,
+            memo: Arc::default(),
         })
     }
 
@@ -435,10 +441,41 @@ impl SyntheticBenchmark {
         &self.network
     }
 
-    /// Mutable netlist access (the perturbation engine edits loads and
-    /// source voltages in place).
+    /// Mutable netlist access. An edit through it may change topology,
+    /// so it empties the [`topology_memo`](Self::topology_memo); the
+    /// value setters below keep it.
     pub fn network_mut(&mut self) -> &mut PowerGridNetwork {
+        self.memo = Arc::default();
         &mut self.network
+    }
+
+    /// A slot for one structure derived from the topology (node names,
+    /// resistor terminals and shorts, load and source nodes, segments,
+    /// vias), filled on first use by its one user, the Kirchhoff IR
+    /// estimate's plan. Clones share it; [`network_mut`](Self::network_mut)
+    /// empties it; the width, load-current and source-voltage setters,
+    /// which change values only, keep it.
+    #[must_use]
+    pub fn topology_memo(&self) -> &OnceLock<Box<dyn Any + Send + Sync>> {
+        &self.memo
+    }
+
+    /// [`PowerGridNetwork::set_load_current`], keeping the memo.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`PowerGridNetwork::set_load_current`].
+    pub fn set_load_current(&mut self, idx: usize, amps: f64) -> crate::Result<()> {
+        self.network.set_load_current(idx, amps)
+    }
+
+    /// [`PowerGridNetwork::set_source_voltage`], keeping the memo.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`PowerGridNetwork::set_source_voltage`].
+    pub fn set_source_voltage(&mut self, idx: usize, volts: f64) -> crate::Result<()> {
+        self.network.set_source_voltage(idx, volts)
     }
 
     /// The straps of the grid.
@@ -935,6 +972,32 @@ mod tests {
         let b = SyntheticBenchmark::generate("t", spec, small_floorplan()).unwrap();
         // 25% of 40 nodes = 10 sources.
         assert_eq!(b.network().voltage_sources().len(), 10);
+    }
+
+    #[test]
+    fn topology_memo_is_shared_by_clones_and_dropped_by_network_mut() {
+        let b = SyntheticBenchmark::generate("t", small_spec(), small_floorplan()).unwrap();
+        // A clone taken before the memo is filled still sees it.
+        let mut copy = b.clone();
+        assert!(b.topology_memo().set(Box::new(7_u32)).is_ok());
+        let widths: Vec<f64> = copy.strap_widths().iter().map(|w| 2.0 * w).collect();
+        copy.set_strap_widths(&widths).unwrap();
+        copy.set_strap_width(0, 3.0).unwrap();
+        copy.set_load_current(0, 0.5).unwrap();
+        copy.set_load_currents(&vec![0.1; copy.network().current_loads().len()])
+            .unwrap();
+        copy.set_source_voltage(0, 1.7).unwrap();
+        assert!(std::ptr::eq(copy.topology_memo(), b.topology_memo()));
+        let seen = copy
+            .topology_memo()
+            .get()
+            .and_then(|m| m.downcast_ref::<u32>());
+        assert_eq!(seen, Some(&7));
+        // Any netlist edit may change topology: the copy starts afresh
+        // and the original keeps its memo.
+        copy.network_mut();
+        assert!(copy.topology_memo().get().is_none());
+        assert!(b.topology_memo().get().is_some());
     }
 
     #[test]

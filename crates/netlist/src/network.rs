@@ -1,6 +1,7 @@
 // ppdl-lint: allow(determinism/hashmap-iter) -- name->id lookup table below; see field comment
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{CurrentLoad, NetlistError, NodeName, Resistor, UnionFind, VoltageSource};
 
@@ -51,12 +52,15 @@ pub struct BenchmarkStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PowerGridNetwork {
-    names: Vec<NodeName>,
+    // The node table is shared between clones and copied on the first
+    // `intern` of a new name, so a copy of a design whose element values
+    // change (a perturbed test design) does not copy its names.
+    names: Arc<Vec<NodeName>>,
     // Lookup-only (`get`/`insert`, never iterated): iteration order
     // cannot leak into results, and O(1) interning is on the deck-parse
     // hot path, so HashMap stays.
     // ppdl-lint: allow(determinism/hashmap-iter) -- get/insert only, never iterated; O(1) interning on the parse hot path
-    index: HashMap<NodeName, NodeId>,
+    index: Arc<HashMap<NodeName, NodeId>>,
     resistors: Vec<Resistor>,
     sources: Vec<VoltageSource>,
     loads: Vec<CurrentLoad>,
@@ -75,8 +79,8 @@ impl PowerGridNetwork {
             return id;
         }
         let id = NodeId(self.names.len());
-        self.names.push(name.clone());
-        self.index.insert(name, id);
+        Arc::make_mut(&mut self.names).push(name.clone());
+        Arc::make_mut(&mut self.index).insert(name, id);
         id
     }
 
@@ -301,7 +305,7 @@ impl PowerGridNetwork {
     #[must_use]
     pub fn bounding_box(&self) -> Option<((i64, i64), (i64, i64))> {
         let mut bb: Option<((i64, i64), (i64, i64))> = None;
-        for n in &self.names {
+        for n in self.names.iter() {
             if let Some((x, y)) = n.coordinates() {
                 bb = Some(match bb {
                     None => ((x, y), (x, y)),

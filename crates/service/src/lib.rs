@@ -530,18 +530,21 @@ impl ServiceCore {
         let predictor = &self.bundle.predictor;
         let base = &self.base;
         let stride = self.bundle.meta.inference_stride;
+        // Only the wire response outlives its request: the test design
+        // and per-node estimate of each prediction are dropped at once
+        // rather than held until the whole batch is done.
         // ppdl-lint: allow(determinism/tainted-parallel) -- predict reaches Perturbation::apply (StdRng seeded per perturbation) and its clock read is latency telemetry under its own wall-clock allow; replies are bitwise deterministic per request
         let computed = ppdl_solver::parallel::par_map_vec(&misses, |_, request| {
-            predict(predictor, base, request, stride)
+            predict(predictor, base, request, stride).map(|prediction| prediction.response)
         });
         {
             let mut cache = lock(&self.cache);
             for (&i, outcome) in miss_indices.iter().zip(computed) {
                 let request = &batch[i];
                 let result = match outcome {
-                    Ok(prediction) => {
-                        cache.insert(request.fingerprint(), request, prediction.response.clone());
-                        Ok(prediction.response)
+                    Ok(response) => {
+                        cache.insert(request.fingerprint(), request, response.clone());
+                        Ok(response)
                     }
                     Err(e) => Err(ServiceError::Core(e)),
                 };

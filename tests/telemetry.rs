@@ -119,4 +119,26 @@ fn service_flush_populates_per_instance_registry_and_percentiles() {
     // The global section rides along so one stats line captures both
     // the service and the solver/NN hot paths beneath it.
     assert!(telemetry.get("global").is_some());
+
+    // The DL answer's phases, and the Kirchhoff plan built once when
+    // the bundle was installed.
+    let global = Json::parse(&powerplanningdl::obs::global().snapshot_json()).expect("snapshot");
+    let span_keys = object_keys(global.get("spans").expect("spans section"));
+    for phase in [
+        "core/predict/apply",
+        "core/predict/widths",
+        "core/predict/kirchhoff/coarse",
+        "core/predict/kirchhoff/sweeps",
+        "core/kirchhoff-plan",
+    ] {
+        assert!(
+            span_keys.iter().any(|k| k.ends_with(phase)),
+            "no {phase} span recorded; have {span_keys:?}"
+        );
+    }
+    let builds = global
+        .get("counters")
+        .and_then(|c| c.get("core/kirchhoff/plan_builds"))
+        .and_then(Json::as_u64);
+    assert!(builds.is_some_and(|b| b >= 1), "plan builds: {builds:?}");
 }
