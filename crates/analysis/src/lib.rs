@@ -44,13 +44,11 @@ mod em;
 mod error;
 mod irmap;
 mod mna;
-mod vectored;
 
 pub use em::{EmChecker, EmReport, EmViolation};
 pub use error::AnalysisError;
 pub use irmap::IrDropMap;
-pub use mna::{AnalysisOptions, IrDropReport, PreconditionerKind, StaticAnalysis};
-pub use vectored::{CurrentTrace, VectoredAnalysis, VectoredReport};
+pub use mna::{AnalysisOptions, IrDropReport, StaticAnalysis};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, AnalysisError>;

@@ -3,67 +3,6 @@ use ppdl_solver::{CgOptions, ConjugateGradient, PrecondKind, TripletMatrix};
 
 use crate::AnalysisError;
 
-/// Which preconditioner the CG solve uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PreconditionerKind {
-    /// No preconditioning (plain CG).
-    None,
-    /// Diagonal (Jacobi) preconditioner.
-    Jacobi,
-    /// Block-Jacobi with per-block dense Cholesky — between Jacobi and
-    /// IC(0) in strength, embarrassingly local to apply.
-    BlockJacobi,
-    /// Zero-fill incomplete Cholesky — the default; fastest on grids.
-    #[default]
-    Ic0,
-    /// No CG at all: a sparse direct Cholesky factorization. Exact,
-    /// but fill-in limits it to small and medium grids.
-    DirectCholesky,
-}
-
-impl PreconditionerKind {
-    /// The solver-level [`PrecondKind`] this analysis choice maps to,
-    /// or `None` for [`PreconditionerKind::DirectCholesky`], which
-    /// bypasses CG entirely.
-    #[must_use]
-    pub fn cg_kind(self) -> Option<PrecondKind> {
-        match self {
-            Self::None => Some(PrecondKind::Identity),
-            Self::Jacobi => Some(PrecondKind::Jacobi),
-            Self::BlockJacobi => Some(PrecondKind::BlockJacobi),
-            Self::Ic0 => Some(PrecondKind::Ic0),
-            Self::DirectCholesky => None,
-        }
-    }
-
-    /// The canonical CLI spelling, the inverse of [`parse`](Self::parse).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::None => "none",
-            Self::Jacobi => "jacobi",
-            Self::BlockJacobi => "block-jacobi",
-            Self::Ic0 => "ic0",
-            Self::DirectCholesky => "direct-cholesky",
-        }
-    }
-
-    /// Parses a kind from its CLI spelling (the [`PrecondKind`] names
-    /// plus `direct`/`direct-cholesky`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "direct" | "direct-cholesky" | "direct_cholesky" => Some(Self::DirectCholesky),
-            _ => PrecondKind::parse(s).map(|k| match k {
-                PrecondKind::Identity => Self::None,
-                PrecondKind::Jacobi => Self::Jacobi,
-                PrecondKind::BlockJacobi => Self::BlockJacobi,
-                PrecondKind::Ic0 => Self::Ic0,
-            }),
-        }
-    }
-}
-
 /// Options for a static IR-drop analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisOptions {
@@ -71,8 +10,9 @@ pub struct AnalysisOptions {
     pub tolerance: f64,
     /// Iteration cap (`0` = automatic).
     pub max_iterations: usize,
-    /// Preconditioner choice.
-    pub preconditioner: PreconditionerKind,
+    /// Preconditioner of the CG solve; [`PrecondKind::Direct`] makes it
+    /// an exact sparse Cholesky solve in one iteration.
+    pub preconditioner: PrecondKind,
 }
 
 impl Default for AnalysisOptions {
@@ -80,7 +20,7 @@ impl Default for AnalysisOptions {
         Self {
             tolerance: 1e-8,
             max_iterations: 0,
-            preconditioner: PreconditionerKind::Ic0,
+            preconditioner: PrecondKind::Ic0,
         }
     }
 }
@@ -226,26 +166,14 @@ impl StaticAnalysis {
         let (solution, iterations) = if m == 0 {
             (None, 0)
         } else {
-            match self.options.preconditioner.cg_kind() {
-                Some(kind) => {
-                    let _cg = ppdl_obs::span("cg");
-                    let cg = ConjugateGradient::new(
-                        CgOptions::builder()
-                            .tolerance(self.options.tolerance)
-                            .max_iterations(self.options.max_iterations)
-                            .precond(kind)
-                            .build(),
-                    );
-                    let s = cg.solve(&matrix, &rhs)?;
-                    let it = s.iterations;
-                    (Some(s.x), it)
-                }
-                None => {
-                    let _direct = ppdl_obs::span("cholesky");
-                    let x = ppdl_solver::SparseCholesky::factor(&matrix)?.solve(&rhs)?;
-                    (Some(x), 0)
-                }
-            }
+            let _cg = ppdl_obs::span("cg");
+            let cg = ConjugateGradient::new(CgOptions {
+                tolerance: self.options.tolerance,
+                max_iterations: self.options.max_iterations,
+                precond: self.options.preconditioner,
+            });
+            let s = cg.solve(&matrix, &rhs)?;
+            (Some(s.x), s.iterations)
         };
 
         // Scatter back to merged-node voltages, then to original nodes.
@@ -555,13 +483,7 @@ mod tests {
         let fp = ppdl_floorplan_fixture(300.0);
         let b = SyntheticBenchmark::generate("t", spec, fp).unwrap();
         let mut results = Vec::new();
-        for pk in [
-            PreconditionerKind::None,
-            PreconditionerKind::Jacobi,
-            PreconditionerKind::BlockJacobi,
-            PreconditionerKind::Ic0,
-            PreconditionerKind::DirectCholesky,
-        ] {
+        for pk in PrecondKind::ALL {
             let rep = StaticAnalysis::new(AnalysisOptions {
                 preconditioner: pk,
                 tolerance: 1e-11,
@@ -574,36 +496,6 @@ mod tests {
         for (i, r) in results.iter().enumerate().skip(1) {
             assert!((results[0] - r).abs() < 1e-9, "kind {i}");
         }
-    }
-
-    #[test]
-    fn preconditioner_kind_parses_cli_spellings() {
-        assert_eq!(
-            PreconditionerKind::parse("none"),
-            Some(PreconditionerKind::None)
-        );
-        assert_eq!(
-            PreconditionerKind::parse("jacobi"),
-            Some(PreconditionerKind::Jacobi)
-        );
-        assert_eq!(
-            PreconditionerKind::parse("block-jacobi"),
-            Some(PreconditionerKind::BlockJacobi)
-        );
-        assert_eq!(
-            PreconditionerKind::parse("IC0"),
-            Some(PreconditionerKind::Ic0)
-        );
-        assert_eq!(
-            PreconditionerKind::parse("direct"),
-            Some(PreconditionerKind::DirectCholesky)
-        );
-        assert_eq!(PreconditionerKind::parse("amg"), None);
-        assert_eq!(PreconditionerKind::DirectCholesky.cg_kind(), None);
-        assert_eq!(
-            PreconditionerKind::BlockJacobi.cg_kind(),
-            Some(ppdl_solver::PrecondKind::BlockJacobi)
-        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! current law must hold at every node of any solved grid, and the total
 //! current delivered by the supplies must equal the total load current.
 
-use ppdl_analysis::{AnalysisOptions, PreconditionerKind, StaticAnalysis};
+use ppdl_analysis::{AnalysisOptions, StaticAnalysis};
 use ppdl_floorplan::{Floorplan, FunctionalBlock};
 use ppdl_netlist::{GridSpec, NodeId, SyntheticBenchmark};
+use ppdl_solver::PrecondKind;
 use proptest::prelude::*;
 
 fn build(v: usize, h: usize, current: f64, seed_blocks: usize) -> SyntheticBenchmark {
@@ -146,7 +147,7 @@ proptest! {
         let bench = build(v, h, 0.1, 2);
         let analysis = StaticAnalysis::new(AnalysisOptions {
             tolerance: 1e-12,
-            preconditioner: PreconditionerKind::Ic0,
+            preconditioner: PrecondKind::Ic0,
             max_iterations: 0,
         });
         let base = analysis.solve(bench.network()).unwrap();

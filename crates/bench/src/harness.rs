@@ -47,7 +47,7 @@ pub struct Options {
     pub telemetry: Option<PathBuf>,
     /// Preconditioner override for the conventional analysis solves
     /// (`None` keeps each experiment's default).
-    pub precond: Option<ppdl_analysis::PreconditionerKind>,
+    pub precond: Option<ppdl_solver::PrecondKind>,
 }
 
 /// Why [`Options::parse`] did not produce options.
@@ -79,8 +79,8 @@ Options (shared by every ppdl experiment):
                   write the snapshot to <out.json> (also embedded in the
                   run manifest)
   --precond <kind>
-                  preconditioner for the conventional analysis solves:
-                  none|jacobi|block-jacobi|ic0|direct (default ic0)
+                  preconditioner for the conventional analysis solves
+                  (default ic0; an unknown kind lists the accepted ones)
   --help          show this message
 "
     )
@@ -157,14 +157,10 @@ impl Options {
                 }
                 "--precond" => {
                     i += 1;
-                    let spelling = value(args, i, "--precond")?;
                     opts.precond = Some(
-                        ppdl_analysis::PreconditionerKind::parse(&spelling).ok_or_else(|| {
-                            ParseError::Bad(format!(
-                                "--precond: unknown preconditioner '{spelling}' \
-                                     (none|jacobi|block-jacobi|ic0|direct)"
-                            ))
-                        })?,
+                        value(args, i, "--precond")?
+                            .parse()
+                            .map_err(|e| ParseError::Bad(format!("--precond: {e}")))?,
                     );
                 }
                 "--help" | "-h" => return Err(ParseError::Help),
@@ -177,24 +173,6 @@ impl Options {
             i += 1;
         }
         Ok(opts)
-    }
-
-    /// Parses `std::env::args`, with a per-experiment default scale.
-    /// Prints help or a usage error and exits when parsing stops.
-    #[must_use]
-    pub fn from_args(default_scale: f64) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse(&args, default_scale) {
-            Ok(opts) => opts,
-            Err(ParseError::Help) => {
-                print!("{}", help_text(default_scale));
-                std::process::exit(0);
-            }
-            Err(ParseError::Bad(msg)) => {
-                eprintln!("error: {msg}\n{}", help_text(default_scale));
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Where this run's artifact cache lives.
@@ -223,17 +201,9 @@ impl Options {
 }
 
 /// Runs the full PowerPlanningDL flow for one preset under the
-/// standard experiment recipe (calibrated loads, Table III margin).
-///
-/// # Errors
-///
-/// Propagates framework errors.
-pub fn run_preset(preset: IbmPgPreset, opts: &Options) -> ppdl_core::Result<DlOutcome> {
-    run_preset_cached(preset, opts, None).map(|(outcome, _)| outcome)
-}
-
-/// [`run_preset`] through the pipeline engine, with stage records for
-/// the run manifest and an optional artifact cache.
+/// standard experiment recipe (calibrated loads, Table III margin)
+/// through the pipeline engine, with stage records for the run
+/// manifest and an optional artifact cache.
 ///
 /// # Errors
 ///
@@ -426,10 +396,7 @@ mod tests {
         assert_eq!(opts.csv.as_deref(), Some(Path::new("x.csv")));
         assert_eq!(opts.threads, Some(2));
         assert_eq!(opts.telemetry.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(
-            opts.precond,
-            Some(ppdl_analysis::PreconditionerKind::BlockJacobi)
-        );
+        assert_eq!(opts.precond, Some(ppdl_solver::PrecondKind::BlockJacobi));
         assert_eq!(opts.cache_dir(), PathBuf::from("o").join("cache"));
     }
 

@@ -15,9 +15,9 @@
 //!   manifest in CI (`ppdl-bench baseline`).
 //!
 //! The `ppdl-bench` binary dispatches them (`ppdl-bench run <name>
-//! [--json] [--no-cache]`, `ppdl-bench list`). The Criterion benches in
-//! `benches/` time the kernels and the end-to-end convergence
-//! comparison.
+//! [--json] [--no-cache]`, `ppdl-bench list`). Kernel timings live in
+//! the `kernels` experiment; end-to-end and per-layer timings live in
+//! the repository benchmark (`perfbench/`).
 //!
 //! This crate contains the only `unsafe` in the workspace: the
 //! [`GlobalAlloc`](std::alloc::GlobalAlloc) implementation of the

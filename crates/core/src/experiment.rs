@@ -92,9 +92,8 @@ pub fn prepare(
 /// seed is a deterministic function of `base_seed` and its grid
 /// position, so the grid — and everything downstream of it — is
 /// reproducible. Feed the result to
-/// [`run_perturbation_sweep`](crate::run_perturbation_sweep) or
-/// [`PowerPlanningDl::run_sweep`](crate::PowerPlanningDl::run_sweep)
-/// for parallel evaluation.
+/// [`run_perturbation_sweep`](crate::run_perturbation_sweep) for
+/// parallel evaluation.
 ///
 /// # Errors
 ///

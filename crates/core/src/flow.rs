@@ -18,13 +18,9 @@ use std::time::Duration;
 use ppdl_analysis::IrDropReport;
 use ppdl_netlist::SyntheticBenchmark;
 
-use crate::pipeline::{
-    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, Pipeline, PipelineCtx,
-    PredictStage, StageRecord, TrainStage, ValidateStage,
-};
+use crate::pipeline::{ArtifactCache, BenchmarkSourceStage, Pipeline, PipelineCtx, StageRecord};
 use crate::{
-    BackendKind, ConventionalConfig, Perturbation, PerturbationKind, PredictedIr, PredictorConfig,
-    WidthMetrics,
+    BackendKind, ConventionalConfig, PerturbationKind, PredictedIr, PredictorConfig, WidthMetrics,
 };
 
 /// Configuration of the full flow.
@@ -143,7 +139,7 @@ impl DlFlowConfigBuilder {
     /// analysis solves (shorthand for the common case of
     /// [`conventional`](Self::conventional)).
     #[must_use]
-    pub fn preconditioner(mut self, kind: ppdl_analysis::PreconditionerKind) -> Self {
+    pub fn preconditioner(mut self, kind: ppdl_solver::PrecondKind) -> Self {
         self.config.conventional.analysis.preconditioner = kind;
         self
     }
@@ -337,81 +333,6 @@ impl PowerPlanningDl {
         Ok((outcome, ctx.records))
     }
 
-    /// Trains once, then validates against every perturbation in
-    /// parallel — the γ-sweep form of the flow (Fig. 9).
-    ///
-    /// The expensive γ-independent work (conventional sizing, model
-    /// training) runs once; each perturbation then gets the same
-    /// perturb → predict → analyze validation [`run`](Self::run)
-    /// performs, distributed across the thread pool configured through
-    /// [`ppdl_solver::parallel`]. Results are returned in perturbation
-    /// order, one per point, and each point's outcome is identical to a
-    /// sequential evaluation at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// The training phase's errors fail the whole sweep; per-point
-    /// validation errors are reported in that point's slot.
-    pub fn run_sweep(
-        &self,
-        bench: &SyntheticBenchmark,
-        perturbations: &[Perturbation],
-    ) -> crate::Result<Vec<crate::Result<DlOutcome>>> {
-        let sweep = self.run_sweep_cached(
-            BenchmarkSourceStage::provided(bench.clone()),
-            perturbations,
-            None,
-        )?;
-        Ok(sweep.points.into_iter().map(|p| p.outcome).collect())
-    }
-
-    /// [`run_sweep`](Self::run_sweep) on the stage engine, with an
-    /// optional artifact cache.
-    ///
-    /// The γ-independent prefix (source → feature-extract → train) runs
-    /// — or cache-decodes — exactly once; it can never re-train per
-    /// point, because each point's context is a clone taken *after* the
-    /// train stage completed. With a cache, [`CacheStats::executions`]
-    /// (`"train"`) counts actual trainings across sweeps, which is what
-    /// the train-once regression test asserts.
-    ///
-    /// [`CacheStats::executions`]: crate::pipeline::CacheStats::executions
-    ///
-    /// # Errors
-    ///
-    /// Prefix stage errors fail the whole sweep; per-point errors land
-    /// in that point's slot.
-    pub fn run_sweep_cached(
-        &self,
-        source: BenchmarkSourceStage,
-        perturbations: &[Perturbation],
-        cache: Option<&ArtifactCache>,
-    ) -> crate::Result<SweepRun> {
-        let mut ctx = PipelineCtx::new(self.config.clone(), cache);
-        run_stage(&source, &mut ctx)?;
-        run_stage(&FeatureExtractStage, &mut ctx)?;
-        run_stage(&TrainStage, &mut ctx)?;
-        let shared_records = std::mem::take(&mut ctx.records);
-
-        // ppdl-lint: allow(determinism/tainted-parallel) -- each point's RNG is StdRng seeded from its own Perturbation seed (bitwise deterministic; perturb::tests::deterministic_per_seed) and run_stage's clock read is span telemetry under its own wall-clock allow
-        let points = ppdl_solver::parallel::par_map_vec(perturbations, |_, p| {
-            let mut point_ctx = ctx.clone();
-            let outcome = (|| {
-                run_stage(&PredictStage::with_perturbation(*p), &mut point_ctx)?;
-                run_stage(&ValidateStage, &mut point_ctx)?;
-                Self::outcome_from_ctx(&point_ctx)
-            })();
-            SweepPoint {
-                outcome,
-                records: point_ctx.records,
-            }
-        });
-        Ok(SweepRun {
-            shared_records,
-            points,
-        })
-    }
-
     /// Assembles the legacy outcome struct from a completed context.
     fn outcome_from_ctx(ctx: &PipelineCtx) -> crate::Result<DlOutcome> {
         let sizing = ctx.sizing()?;
@@ -443,27 +364,6 @@ impl PowerPlanningDl {
             conventional_iterations: sizing.iterations,
         })
     }
-}
-
-/// What one sweep point produced: the outcome plus its predict/validate
-/// stage records (for manifests).
-#[derive(Debug)]
-pub struct SweepPoint {
-    /// The point's flow outcome (or its error).
-    pub outcome: crate::Result<DlOutcome>,
-    /// Stage records of the point's predict + validate stages.
-    pub records: Vec<StageRecord>,
-}
-
-/// A full sweep: the shared train-phase records plus one
-/// [`SweepPoint`] per perturbation, in input order.
-#[derive(Debug)]
-pub struct SweepRun {
-    /// Records of the γ-independent prefix (source, feature-extract,
-    /// train) — exactly one set per sweep, however many points follow.
-    pub shared_records: Vec<StageRecord>,
-    /// Per-perturbation results.
-    pub points: Vec<SweepPoint>,
 }
 
 #[cfg(test)]
@@ -511,37 +411,6 @@ mod tests {
         assert_eq!(
             o.test_bench.segments().len(),
             o.sized_bench.segments().len()
-        );
-    }
-
-    #[test]
-    fn sweep_trains_once_and_orders_results() {
-        let prepared = crate::experiment::prepare(IbmPgPreset::Ibmpg2, 0.008, 13, 2.5).unwrap();
-        let config = crate::experiment::flow_config(&prepared, true);
-        let flow = PowerPlanningDl::new(config);
-        let points =
-            crate::experiment::perturbation_grid(&[0.1, 0.3], &[PerturbationKind::Both], 5, 1)
-                .unwrap();
-        let outcomes = flow.run_sweep(&prepared.bench, &points).unwrap();
-        assert_eq!(outcomes.len(), points.len());
-        for (res, p) in outcomes.iter().zip(&points) {
-            let o = res.as_ref().unwrap();
-            assert_eq!(o.golden_widths.len(), o.predicted_widths.len());
-            // Every point validates against its own perturbation of the
-            // shared sized design.
-            let direct = p.apply(&o.sized_bench).unwrap();
-            assert_eq!(
-                o.test_bench.network().total_load_current(),
-                direct.network().total_load_current()
-            );
-        }
-        // The two points perturb differently, so their test designs
-        // differ even though the trained model is shared.
-        let a = outcomes[0].as_ref().unwrap();
-        let b = outcomes[1].as_ref().unwrap();
-        assert_ne!(
-            a.test_bench.network().total_load_current(),
-            b.test_bench.network().total_load_current()
         );
     }
 

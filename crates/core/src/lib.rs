@@ -51,7 +51,6 @@ pub mod experiment;
 mod features;
 mod flow;
 mod irpredict;
-mod pad_placement;
 mod perturb;
 pub mod pipeline;
 pub mod predict;
@@ -65,11 +64,8 @@ pub use calibrate::{calibrate_to_worst_ir, calibration_tolerance};
 pub use conventional::{ConventionalConfig, ConventionalFlow, ConventionalResult};
 pub use error::CoreError;
 pub use features::{FeatureExtractor, FeatureSet, WidthDataset};
-pub use flow::{
-    DlFlowConfig, DlFlowConfigBuilder, DlOutcome, PowerPlanningDl, SweepPoint, SweepRun, Timing,
-};
+pub use flow::{DlFlowConfig, DlFlowConfigBuilder, DlOutcome, PowerPlanningDl, Timing};
 pub use irpredict::{IrPredictor, PredictedIr};
-pub use pad_placement::{PadPlacementResult, PadPlacer};
 pub use perturb::{run_perturbation_sweep, Perturbation, PerturbationKind};
 pub use predict::{BundleMeta, PredictRequest, PredictResponse, Prediction, TrainedBundle};
 pub use predictor::{segment_dataset, PredictorConfig, TrainSummary, WidthMetrics, WidthPredictor};

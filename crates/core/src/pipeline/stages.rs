@@ -593,7 +593,7 @@ pub struct PredictStage {
 impl PredictStage {
     const HEADER: &'static str = "ppdl-art predict v1";
 
-    /// Perturb according to the context's [`DlFlowConfig`]
+    /// Perturb according to the context's [`DlFlowConfig`](crate::DlFlowConfig)
     /// (`perturbation_gamma` / `perturbation_kind` / `seed`).
     #[must_use]
     pub fn from_config() -> Self {

@@ -22,7 +22,7 @@
 //!   order is positional — so the optimizer is bitwise deterministic in
 //!   `(config, bundle)` at any thread count.
 //! * **Verification** — a real [`StaticAnalysis`] MNA solve (with the
-//!   configured [`PreconditionerKind`]) every `verify_every` accepted
+//!   configured [`PrecondKind`]) every `verify_every` accepted
 //!   moves and at termination, recalibrating the oracle each time. A
 //!   deterministic greedy *polish* pass between annealing and the
 //!   final verify lands the template on the aim one region-step at a
@@ -33,8 +33,9 @@
 //!   `synth_oracle` experiment compares against the conventional
 //!   flow's iteration count.
 
-use ppdl_analysis::{AnalysisOptions, PreconditionerKind, StaticAnalysis};
+use ppdl_analysis::{AnalysisOptions, StaticAnalysis};
 use ppdl_netlist::SyntheticBenchmark;
+use ppdl_solver::PrecondKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,7 +89,7 @@ pub struct SynthConfig {
     /// Bounded widen-and-reverify rounds after a failed final verify.
     pub max_repair_rounds: usize,
     /// Preconditioner for the escalation/verification solves.
-    pub precond: PreconditionerKind,
+    pub precond: PrecondKind,
 }
 
 impl Default for SynthConfig {
@@ -108,7 +109,7 @@ impl Default for SynthConfig {
             aim_fraction: 0.96,
             aim_worst_ir: None,
             max_repair_rounds: 4,
-            precond: PreconditionerKind::Ic0,
+            precond: PrecondKind::Ic0,
         }
     }
 }
@@ -360,7 +361,7 @@ fn best_step(
 fn full_solve(
     base: &SyntheticBenchmark,
     widths: &[f64],
-    precond: PreconditionerKind,
+    precond: PrecondKind,
 ) -> crate::Result<f64> {
     let mut bench = base.clone();
     bench.set_strap_widths(widths)?;

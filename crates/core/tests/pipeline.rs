@@ -3,7 +3,7 @@
 //! corrupt-artifact fallback.
 
 use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage, PipelineCtx, Stage};
-use ppdl_core::{experiment, DlFlowConfig, DlOutcome, PowerPlanningDl};
+use ppdl_core::{experiment, DlFlowConfig, DlOutcome};
 use ppdl_netlist::IbmPgPreset;
 
 /// A fresh, empty cache directory unique to one test.
@@ -113,42 +113,6 @@ fn downstream_keys_chain_on_upstream_inputs() {
     for (a, b) in records_a.iter().zip(&records_b) {
         assert!(!b.cache_hit, "seed change must not hit stage '{}'", b.name);
         assert_ne!(a.key, b.key, "stage '{}' key did not chain", a.name);
-    }
-}
-
-#[test]
-fn sweep_trains_exactly_once_per_config() {
-    let dir = cache_dir("sweep");
-    let points =
-        experiment::perturbation_grid(&[0.1, 0.2, 0.3], &[ppdl_core::PerturbationKind::Both], 5, 1)
-            .unwrap();
-    let flow = PowerPlanningDl::new(DlFlowConfig::fast());
-    let source = || experiment::preset_source(IbmPgPreset::Ibmpg2, 0.006, 5);
-
-    let cache = ArtifactCache::new(&dir);
-    let sweep = flow
-        .run_sweep_cached(source(), &points, Some(&cache))
-        .unwrap();
-    assert_eq!(sweep.points.len(), points.len());
-    for p in &sweep.points {
-        assert!(p.outcome.is_ok());
-        assert_eq!(p.records.len(), 2, "predict + validate per point");
-    }
-    // The regression the cache layer pins down: one (preset, hyperparams)
-    // key trains exactly once, no matter how many sweep points follow.
-    assert_eq!(cache.stats().executions("train"), 1);
-    assert_eq!(cache.stats().executions("predict"), points.len());
-
-    // A repeated sweep with identical config trains zero times.
-    let cache2 = ArtifactCache::new(&dir);
-    let again = flow
-        .run_sweep_cached(source(), &points, Some(&cache2))
-        .unwrap();
-    assert_eq!(cache2.stats().executions("train"), 0);
-    assert_eq!(cache2.stats().hits_for("train"), 1);
-    assert!(again.shared_records.iter().all(|r| r.cache_hit));
-    for (a, b) in sweep.points.iter().zip(&again.points) {
-        assert_bitwise_equal(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
     }
 }
 

@@ -3,7 +3,7 @@ use crate::SolverError;
 /// Row-major dense matrix.
 ///
 /// Used for small MNA systems (a handful of straps), as the test oracle
-/// for the sparse path, and inside the dense factorizations.
+/// for the sparse path, and inside block-Jacobi's per-block Cholesky.
 ///
 /// # Example
 ///
@@ -163,54 +163,6 @@ impl DenseMatrix {
         }
         Ok(DenseCholesky { n, l })
     }
-
-    /// LU factorization with partial pivoting, `P A = L U`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] if the matrix is not
-    /// square, or [`SolverError::SingularMatrix`] if a pivot column is
-    /// entirely (numerically) zero.
-    pub fn lu(&self) -> crate::Result<DenseLu> {
-        if self.nrows != self.ncols {
-            return Err(SolverError::DimensionMismatch {
-                detail: format!("lu of non-square {}x{}", self.nrows, self.ncols),
-            });
-        }
-        let n = self.nrows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Partial pivot: largest magnitude in column k at/below row k.
-            let mut piv = k;
-            let mut best = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > best {
-                    best = v;
-                    piv = i;
-                }
-            }
-            if best < f64::EPSILON * n as f64 {
-                return Err(SolverError::SingularMatrix { pivot: k });
-            }
-            if piv != k {
-                for c in 0..n {
-                    lu.swap(k * n + c, piv * n + c);
-                }
-                perm.swap(k, piv);
-            }
-            let pivval = lu[k * n + k];
-            for i in (k + 1)..n {
-                let m = lu[i * n + k] / pivval;
-                lu[i * n + k] = m;
-                for c in (k + 1)..n {
-                    lu[i * n + c] -= m * lu[k * n + c];
-                }
-            }
-        }
-        Ok(DenseLu { n, lu, perm })
-    }
 }
 
 /// Dense Cholesky factorization of a symmetric positive-definite matrix.
@@ -259,54 +211,6 @@ impl DenseCholesky {
             y[i] /= self.l[i * n + i];
         }
         Ok(y)
-    }
-}
-
-/// Dense LU factorization with partial pivoting.
-///
-/// Produced by [`DenseMatrix::lu`].
-#[derive(Debug, Clone)]
-pub struct DenseLu {
-    n: usize,
-    /// Packed LU factors (unit lower diagonal implicit), row-major.
-    lu: Vec<f64>,
-    /// Row permutation: `perm[k]` is the original row now at position `k`.
-    perm: Vec<usize>,
-}
-
-impl DenseLu {
-    /// Dimension of the factored matrix.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve(&self, b: &[f64]) -> crate::Result<Vec<f64>> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(SolverError::DimensionMismatch {
-                detail: format!("lu solve: dim {n}, b has length {}", b.len()),
-            });
-        }
-        // Apply permutation, then forward/backward substitution.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 0..n {
-            for k in 0..i {
-                x[i] -= self.lu[i * n + k] * x[k];
-            }
-        }
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                x[i] -= self.lu[i * n + k] * x[k];
-            }
-            x[i] /= self.lu[i * n + i];
-        }
-        Ok(x)
     }
 }
 
@@ -372,37 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn lu_solves_general_system() {
-        // Needs pivoting: zero on the first diagonal entry.
-        let a = DenseMatrix::from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]).unwrap();
-        let lu = a.lu().unwrap();
-        let x = lu.solve(&[2.0, 2.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_rejects_singular() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        let err = a.lu().unwrap_err();
-        assert!(matches!(err, SolverError::SingularMatrix { .. }));
-    }
-
-    #[test]
-    fn lu_matches_cholesky_on_spd() {
-        let a = DenseMatrix::from_rows(&[&[5.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let b = [7.0, -1.0];
-        let x1 = a.cholesky().unwrap().solve(&b).unwrap();
-        let x2 = a.lu().unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn solve_wrong_rhs_length() {
         let a = DenseMatrix::identity(2);
         assert!(a.cholesky().unwrap().solve(&[1.0]).is_err());
-        assert!(a.lu().unwrap().solve(&[1.0, 2.0, 3.0]).is_err());
     }
 }

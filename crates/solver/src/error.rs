@@ -29,7 +29,7 @@ pub enum SolverError {
         /// The offending pivot value.
         value: f64,
     },
-    /// LU factorization hit a zero (or numerically negligible) pivot.
+    /// A stationary iteration hit a zero diagonal entry.
     SingularMatrix {
         /// Pivot index where the failure was detected.
         pivot: usize,
@@ -49,8 +49,8 @@ pub enum SolverError {
         /// Description of where the non-finite value appeared.
         context: String,
     },
-    /// Solver options were outside their valid range (e.g. a
-    /// non-positive tolerance or a zero preconditioner block size).
+    /// A solver option was not recognised (e.g. an unknown
+    /// preconditioner name).
     InvalidOptions {
         /// Description of the offending knob and its value.
         detail: String,

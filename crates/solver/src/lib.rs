@@ -9,14 +9,15 @@
 //!   stamping conductances, with duplicate summing.
 //! * [`CsrMatrix`] — compressed-sparse-row storage with matrix–vector
 //!   products, transpose, and structural queries.
-//! * [`DenseMatrix`] — small dense matrices with Cholesky and LU
-//!   factorizations, used for tiny systems and as a test oracle.
-//! * [`ConjugateGradient`] — (preconditioned) conjugate-gradient solver.
-//!   The preconditioner is chosen at runtime by a [`PrecondKind`] carried
-//!   in [`CgOptions`] ([`IdentityPreconditioner`], [`JacobiPreconditioner`],
-//!   [`BlockJacobiPreconditioner`], or [`IncompleteCholesky`] IC(0));
-//!   custom [`Preconditioner`] implementations go through
-//!   [`ConjugateGradient::solve_using`].
+//! * [`DenseMatrix`] — small dense matrices with a Cholesky
+//!   factorization, used by block-Jacobi and as a test oracle.
+//! * [`SparseCholesky`] — an exact sparse factorization (no fill-reducing
+//!   ordering), the [`PrecondKind::Direct`] preconditioner.
+//! * [`ConjugateGradient`] — (preconditioned) conjugate-gradient solver
+//!   with one entry point, [`ConjugateGradient::solve`]. The
+//!   preconditioner is chosen at runtime by a [`PrecondKind`] carried in
+//!   [`CgOptions`]: identity, Jacobi, block-Jacobi, IC(0), or the exact
+//!   sparse Cholesky factor.
 //! * [`vecops`] — the BLAS-1 style kernels (`dot`, `axpy`, norms) shared
 //!   by the iterative solvers.
 //! * [`parallel`] — the workspace-wide parallel execution layer: thread
@@ -39,11 +40,10 @@
 //! t.push(1, 1, 3.0);
 //! let a = t.to_csr();
 //!
-//! let options = CgOptions::builder()
-//!     .precond(PrecondKind::Jacobi)
-//!     .try_build()
-//!     .unwrap();
-//! let solver = ConjugateGradient::new(options);
+//! let solver = ConjugateGradient::new(CgOptions {
+//!     precond: PrecondKind::Jacobi,
+//!     ..CgOptions::default()
+//! });
 //! let sol = solver.solve(&a, &[1.0, 2.0]).unwrap();
 //! assert!((sol.x[0] - 1.0 / 11.0).abs() < 1e-8);
 //! assert!((sol.x[1] - 7.0 / 11.0).abs() < 1e-8);
@@ -63,15 +63,12 @@ mod stationary;
 mod triplet;
 pub mod vecops;
 
-pub use cg::{CgOptions, CgOptionsBuilder, CgSolution, ConjugateGradient, DEFAULT_PRECOND_BLOCK};
+pub use cg::{CgOptions, CgSolution, ConjugateGradient};
 pub use csr::CsrMatrix;
-pub use dense::{DenseCholesky, DenseLu, DenseMatrix};
+pub use dense::{DenseCholesky, DenseMatrix};
 pub use error::SolverError;
 pub use parallel::{parallel_config, set_par_threshold, set_threads, ParallelConfig};
-pub use precond::{
-    BlockJacobiPreconditioner, BuiltPreconditioner, IdentityPreconditioner, IncompleteCholesky,
-    JacobiPreconditioner, PrecondKind, Preconditioner,
-};
+pub use precond::PrecondKind;
 pub use sparse_chol::SparseCholesky;
 pub use stationary::{GaussSeidel, StationaryOptions, StationarySolution};
 pub use triplet::TripletMatrix;

@@ -1,21 +1,4 @@
-use crate::{CsrMatrix, SolverError};
-
-/// A preconditioner approximating `A⁻¹`, applied once per CG iteration.
-///
-/// Implementations must be symmetric positive definite for use with
-/// [`ConjugateGradient`](crate::ConjugateGradient).
-pub trait Preconditioner {
-    /// Applies the preconditioner: writes `z = M⁻¹ r` into `z`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::DimensionMismatch`] if `r` and `z` do not
-    /// match the preconditioner's dimension.
-    fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()>;
-
-    /// Dimension of the vectors this preconditioner operates on.
-    fn dim(&self) -> usize;
-}
+use crate::{CsrMatrix, SolverError, SparseCholesky};
 
 /// Which preconditioner a CG solve should build, selected at runtime
 /// through [`CgOptions`](crate::CgOptions) instead of by generic
@@ -28,16 +11,32 @@ pub enum PrecondKind {
     /// Diagonal scaling (`M = diag(A)`) — cheap, the default.
     #[default]
     Jacobi,
-    /// Block-diagonal with per-block dense Cholesky; block size comes
-    /// from [`CgOptions::precond_block`](crate::CgOptions::precond_block).
+    /// Block-diagonal with per-block dense Cholesky over contiguous
+    /// blocks of 64 rows.
     BlockJacobi,
     /// Zero-fill incomplete Cholesky, IC(0) — strongest on large grids.
     Ic0,
+    /// The exact sparse Cholesky factor ([`SparseCholesky`]) as the
+    /// preconditioner, so PCG converges in one iteration. No
+    /// fill-reducing ordering: fill-in limits it to small and medium
+    /// grids.
+    Direct,
 }
+
+/// Block size of [`PrecondKind::BlockJacobi`]: large enough to capture
+/// a strip of a row-major grid, small enough that the dense per-block
+/// Cholesky stays cheap.
+const BLOCK_JACOBI_SIZE: usize = 64;
 
 impl PrecondKind {
     /// Every kind, in the order used by sweeps and `--help` listings.
-    pub const ALL: [Self; 4] = [Self::Identity, Self::Jacobi, Self::BlockJacobi, Self::Ic0];
+    pub const ALL: [Self; 5] = [
+        Self::Identity,
+        Self::Jacobi,
+        Self::BlockJacobi,
+        Self::Ic0,
+        Self::Direct,
+    ];
 
     /// Canonical lower-case name, accepted back by [`parse`](Self::parse).
     #[must_use]
@@ -47,11 +46,14 @@ impl PrecondKind {
             Self::Jacobi => "jacobi",
             Self::BlockJacobi => "block-jacobi",
             Self::Ic0 => "ic0",
+            Self::Direct => "direct",
         }
     }
 
-    /// Parses a kind from its CLI spelling (case-insensitive; accepts
-    /// `none` for identity and `block_jacobi`/`blockjacobi` variants).
+    /// Parses a kind from its CLI spelling, case-insensitively: the
+    /// one spelling table for every `--precond` flag. Besides each
+    /// [`name`](Self::name) it accepts `none`, `ic`, `block_jacobi`,
+    /// `blockjacobi`, `direct-cholesky` and `direct_cholesky`.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -59,25 +61,21 @@ impl PrecondKind {
             "jacobi" => Some(Self::Jacobi),
             "block-jacobi" | "block_jacobi" | "blockjacobi" => Some(Self::BlockJacobi),
             "ic0" | "ic" => Some(Self::Ic0),
+            "direct" | "direct-cholesky" | "direct_cholesky" => Some(Self::Direct),
             _ => None,
         }
     }
 
-    /// Builds the selected preconditioner for `a`. `block_size` is used
-    /// only by [`PrecondKind::BlockJacobi`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the construction errors of the underlying
-    /// preconditioner (non-square matrix, non-SPD diagonal, …).
-    pub fn build(self, a: &CsrMatrix, block_size: usize) -> crate::Result<BuiltPreconditioner> {
+    /// Builds the selected preconditioner for `a`.
+    pub(crate) fn build(self, a: &CsrMatrix) -> crate::Result<BuiltPreconditioner> {
         Ok(match self {
             Self::Identity => BuiltPreconditioner::Identity(IdentityPreconditioner::new(a.nrows())),
             Self::Jacobi => BuiltPreconditioner::Jacobi(JacobiPreconditioner::from_matrix(a)?),
             Self::BlockJacobi => BuiltPreconditioner::BlockJacobi(
-                BlockJacobiPreconditioner::from_matrix(a, block_size)?,
+                BlockJacobiPreconditioner::from_matrix(a, BLOCK_JACOBI_SIZE)?,
             ),
             Self::Ic0 => BuiltPreconditioner::Ic0(IncompleteCholesky::from_matrix(a)?),
+            Self::Direct => BuiltPreconditioner::Direct(SparseCholesky::factor(a)?),
         })
     }
 }
@@ -93,69 +91,57 @@ impl std::str::FromStr for PrecondKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Self::parse(s).ok_or_else(|| SolverError::InvalidOptions {
-            detail: format!("unknown preconditioner kind {s:?} (expected identity, jacobi, block-jacobi, or ic0)"),
+            detail: format!(
+                "unknown preconditioner {s:?} (expected identity|none, jacobi, \
+                 block-jacobi, ic0, or direct)"
+            ),
         })
     }
 }
 
-/// A preconditioner built from a [`PrecondKind`] — the runtime-dispatch
-/// counterpart of the `P: Preconditioner` generic parameter the solver
-/// API used to take.
+/// A preconditioner built from a [`PrecondKind`]: applies `z = M⁻¹ r`
+/// once per CG iteration. Every variant is symmetric positive definite.
 #[derive(Debug, Clone)]
-pub enum BuiltPreconditioner {
-    /// Built from [`PrecondKind::Identity`].
+pub(crate) enum BuiltPreconditioner {
     Identity(IdentityPreconditioner),
-    /// Built from [`PrecondKind::Jacobi`].
     Jacobi(JacobiPreconditioner),
-    /// Built from [`PrecondKind::BlockJacobi`].
     BlockJacobi(BlockJacobiPreconditioner),
-    /// Built from [`PrecondKind::Ic0`].
     Ic0(IncompleteCholesky),
+    Direct(SparseCholesky),
 }
 
-impl Preconditioner for BuiltPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
+impl BuiltPreconditioner {
+    /// Writes `z = M⁻¹ r`.
+    pub(crate) fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         match self {
             Self::Identity(p) => p.apply(r, z),
             Self::Jacobi(p) => p.apply(r, z),
             Self::BlockJacobi(p) => p.apply(r, z),
             Self::Ic0(p) => p.apply(r, z),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            Self::Identity(p) => p.dim(),
-            Self::Jacobi(p) => p.dim(),
-            Self::BlockJacobi(p) => p.dim(),
-            Self::Ic0(p) => p.dim(),
+            Self::Direct(p) => {
+                check_dims(p.dim(), r, z)?;
+                z.copy_from_slice(&p.solve(r)?);
+                Ok(())
+            }
         }
     }
 }
 
 /// The trivial preconditioner `M = I` (plain CG).
 #[derive(Debug, Clone)]
-pub struct IdentityPreconditioner {
+pub(crate) struct IdentityPreconditioner {
     n: usize,
 }
 
 impl IdentityPreconditioner {
-    /// Creates an identity preconditioner for dimension `n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self { n }
     }
-}
 
-impl Preconditioner for IdentityPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         check_dims(self.n, r, z)?;
         z.copy_from_slice(r);
         Ok(())
-    }
-
-    fn dim(&self) -> usize {
-        self.n
     }
 }
 
@@ -164,7 +150,7 @@ impl Preconditioner for IdentityPreconditioner {
 /// Cheap and effective for the diagonally dominant conductance matrices
 /// that power grids produce.
 #[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
+pub(crate) struct JacobiPreconditioner {
     inv_diag: Vec<f64>,
 }
 
@@ -177,7 +163,7 @@ impl JacobiPreconditioner {
     /// is not strictly positive (an SPD matrix always has a positive
     /// diagonal), or [`SolverError::DimensionMismatch`] if `a` is not
     /// square.
-    pub fn from_matrix(a: &CsrMatrix) -> crate::Result<Self> {
+    pub(crate) fn from_matrix(a: &CsrMatrix) -> crate::Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SolverError::DimensionMismatch {
                 detail: format!("jacobi of non-square {}x{}", a.nrows(), a.ncols()),
@@ -194,19 +180,13 @@ impl JacobiPreconditioner {
         }
         Ok(Self { inv_diag })
     }
-}
 
-impl Preconditioner for JacobiPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         check_dims(self.inv_diag.len(), r, z)?;
         for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = ri * di;
         }
         Ok(())
-    }
-
-    fn dim(&self) -> usize {
-        self.inv_diag.len()
     }
 }
 
@@ -224,9 +204,8 @@ impl Preconditioner for JacobiPreconditioner {
 /// is boosted once (the same pivot-boost strategy
 /// [`IncompleteCholesky`] uses) before giving up.
 #[derive(Debug, Clone)]
-pub struct BlockJacobiPreconditioner {
+pub(crate) struct BlockJacobiPreconditioner {
     n: usize,
-    block_size: usize,
     blocks: Vec<crate::DenseCholesky>,
 }
 
@@ -238,7 +217,7 @@ impl BlockJacobiPreconditioner {
     /// Returns [`SolverError::DimensionMismatch`] if `a` is not square
     /// or `block_size` is zero, and [`SolverError::NotPositiveDefinite`]
     /// if a diagonal block cannot be factored even after a pivot boost.
-    pub fn from_matrix(a: &CsrMatrix, block_size: usize) -> crate::Result<Self> {
+    pub(crate) fn from_matrix(a: &CsrMatrix, block_size: usize) -> crate::Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SolverError::DimensionMismatch {
                 detail: format!("block-jacobi of non-square {}x{}", a.nrows(), a.ncols()),
@@ -282,21 +261,9 @@ impl BlockJacobiPreconditioner {
             blocks.push(factored);
             lo = hi;
         }
-        Ok(Self {
-            n,
-            block_size,
-            blocks,
-        })
+        Ok(Self { n, blocks })
     }
 
-    /// The configured block size.
-    #[must_use]
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-}
-
-impl Preconditioner for BlockJacobiPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         check_dims(self.n, r, z)?;
         let mut lo = 0;
@@ -308,10 +275,6 @@ impl Preconditioner for BlockJacobiPreconditioner {
         }
         Ok(())
     }
-
-    fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 /// Zero-fill incomplete Cholesky preconditioner, IC(0).
@@ -320,9 +283,9 @@ impl Preconditioner for BlockJacobiPreconditioner {
 /// triangle of `A` such that `L Lᵀ ≈ A`, then applies `M⁻¹ = L⁻ᵀ L⁻¹` by
 /// two triangular solves. This is the standard preconditioner for
 /// power-grid analysis and cuts CG iteration counts substantially on
-/// large grids (see the `ablation_precond` bench).
+/// large grids (see the `kernels` experiment's CG table).
 #[derive(Debug, Clone)]
-pub struct IncompleteCholesky {
+pub(crate) struct IncompleteCholesky {
     n: usize,
     // CSR storage of L (strictly lower part, row by row, columns ascending)
     indptr: Vec<usize>,
@@ -343,7 +306,7 @@ impl IncompleteCholesky {
     /// Returns [`SolverError::DimensionMismatch`] if `a` is not square,
     /// or [`SolverError::NotPositiveDefinite`] if a diagonal entry of `a`
     /// is missing or non-positive.
-    pub fn from_matrix(a: &CsrMatrix) -> crate::Result<Self> {
+    pub(crate) fn from_matrix(a: &CsrMatrix) -> crate::Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SolverError::DimensionMismatch {
                 detail: format!("ic0 of non-square {}x{}", a.nrows(), a.ncols()),
@@ -420,9 +383,7 @@ impl IncompleteCholesky {
             diag,
         })
     }
-}
 
-impl Preconditioner for IncompleteCholesky {
     fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         check_dims(self.n, r, z)?;
         // Forward solve L y = r.
@@ -443,10 +404,6 @@ impl Preconditioner for IncompleteCholesky {
             }
         }
         Ok(())
-    }
-
-    fn dim(&self) -> usize {
-        self.n
     }
 }
 
@@ -484,7 +441,6 @@ mod tests {
         let mut z = vec![0.0; 3];
         p.apply(&[1.0, 2.0, 3.0], &mut z).unwrap();
         assert_eq!(z, vec![1.0, 2.0, 3.0]);
-        assert_eq!(p.dim(), 3);
     }
 
     #[test]
@@ -548,19 +504,32 @@ mod tests {
         for (b, jj) in zb.iter().zip(&zj) {
             assert!((b - jj).abs() < 1e-14);
         }
-        assert_eq!(bj.block_size(), 1);
     }
 
     #[test]
-    fn block_jacobi_handles_ragged_last_block() {
-        let a = spd_grid(7);
-        let bj = BlockJacobiPreconditioner::from_matrix(&a, 3).unwrap();
-        assert_eq!(bj.dim(), 7);
-        let r: Vec<f64> = (0..7).map(|i| i as f64 - 3.0).collect();
-        let mut z = vec![0.0; 7];
-        bj.apply(&r, &mut z).unwrap();
-        // SPD form: r·z > 0 for r != 0.
-        assert!(crate::vecops::dot(&r, &z) > 0.0);
+    fn block_jacobi_solves_every_block_exactly_at_every_block_size() {
+        // Sizes 1..8 over 12 rows: most leave a ragged last block.
+        let n = 12;
+        let a = spd_grid(n);
+        let r: Vec<f64> = (0..n).map(|i| i as f64 - 5.5).collect();
+        for block in 1..8 {
+            let bj = BlockJacobiPreconditioner::from_matrix(&a, block).unwrap();
+            let mut z = vec![0.0; n];
+            bj.apply(&r, &mut z).unwrap();
+            // Within its own diagonal block, z solves A z = r exactly.
+            for (i, ri) in r.iter().enumerate() {
+                let lo = i / block * block;
+                let hi = (lo + block).min(n);
+                let az: f64 = a
+                    .row(i)
+                    .filter(|(c, _)| (lo..hi).contains(c))
+                    .map(|(c, v)| v * z[c])
+                    .sum();
+                assert!((az - ri).abs() < 1e-10, "block {block} row {i}");
+            }
+            // SPD form: r·z > 0 for r != 0.
+            assert!(crate::vecops::dot(&r, &z) > 0.0, "block {block}");
+        }
     }
 
     #[test]
@@ -626,6 +595,9 @@ mod tests {
             PrecondKind::parse("Block_Jacobi"),
             Some(PrecondKind::BlockJacobi)
         );
+        for spelling in ["direct", "Direct-Cholesky", "direct_cholesky"] {
+            assert_eq!(PrecondKind::parse(spelling), Some(PrecondKind::Direct));
+        }
         assert_eq!(PrecondKind::parse("ilu"), None);
         assert!(matches!(
             "ilu".parse::<PrecondKind>(),
@@ -637,8 +609,7 @@ mod tests {
     fn precond_kind_builds_matching_variant() {
         let a = spd_grid(8);
         for kind in PrecondKind::ALL {
-            let built = kind.build(&a, 4).unwrap();
-            assert_eq!(built.dim(), 8, "{kind}");
+            let built = kind.build(&a).unwrap();
             let matches_kind = matches!(
                 (kind, &built),
                 (PrecondKind::Identity, BuiltPreconditioner::Identity(_))
@@ -648,6 +619,7 @@ mod tests {
                         BuiltPreconditioner::BlockJacobi(_)
                     )
                     | (PrecondKind::Ic0, BuiltPreconditioner::Ic0(_))
+                    | (PrecondKind::Direct, BuiltPreconditioner::Direct(_))
             );
             assert!(matches_kind, "{kind} built the wrong variant");
             // Every built preconditioner is SPD: r·z > 0 for r != 0.

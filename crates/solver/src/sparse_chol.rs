@@ -9,10 +9,10 @@ use crate::{CsrMatrix, SolverError};
 /// No fill-reducing ordering is applied (AMD/ND are out of scope for
 /// this reproduction), so fill-in on 2-D grid matrices grows as
 /// roughly O(n^1.5); the factorization is intended for the
-/// small-to-medium systems where an exact solve is convenient — tiny
-/// MNA systems, the coarse grids of the IR predictor, and as an oracle
-/// against the iterative solvers. For full-size grids use
-/// [`ConjugateGradient`](crate::ConjugateGradient).
+/// small-to-medium systems where an exact solve is convenient. It is
+/// the [`PrecondKind::Direct`](crate::PrecondKind::Direct)
+/// preconditioner, with which CG converges in one iteration, and an
+/// oracle against the iterative solvers.
 ///
 /// # Example
 ///

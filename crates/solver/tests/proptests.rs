@@ -66,7 +66,6 @@ proptest! {
     fn every_precond_kind_agrees_with_unpreconditioned(
         a in spd_network(12),
         seed in proptest::collection::vec(-3.0_f64..3.0, 12),
-        block in 1usize..8,
     ) {
         let n = a.nrows();
         let b = &seed[..n];
@@ -77,12 +76,11 @@ proptest! {
         });
         let x_plain = base.solve(&a, b).unwrap().x;
         for kind in PrecondKind::ALL {
-            let options = CgOptions::builder()
-                .tolerance(1e-11)
-                .precond(kind)
-                .precond_block(block)
-                .try_build()
-                .unwrap();
+            let options = CgOptions {
+                tolerance: 1e-11,
+                precond: kind,
+                ..CgOptions::default()
+            };
             let x = ConjugateGradient::new(options).solve(&a, b).unwrap().x;
             for i in 0..n {
                 prop_assert!(
@@ -164,27 +162,6 @@ proptest! {
         let xd = a.to_dense().cholesky().unwrap().solve(b).unwrap();
         for i in 0..n {
             prop_assert!((xs[i] - xd[i]).abs() < 1e-7, "node {}: {} vs {}", i, xs[i], xd[i]);
-        }
-    }
-
-    /// Dense LU solves random well-conditioned systems (diagonally
-    /// boosted to avoid near-singularity).
-    #[test]
-    fn dense_lu_solves(
-        vals in proptest::collection::vec(-1.0_f64..1.0, 16),
-        b in proptest::collection::vec(-5.0_f64..5.0, 4),
-    ) {
-        let mut m = ppdl_solver::DenseMatrix::zeros(4, 4);
-        for r in 0..4 {
-            for c in 0..4 {
-                let v = vals[r * 4 + c] + if r == c { 5.0 } else { 0.0 };
-                m.set(r, c, v);
-            }
-        }
-        let x = m.lu().unwrap().solve(&b).unwrap();
-        let ax = m.mul_vec(&x).unwrap();
-        for i in 0..4 {
-            prop_assert!((ax[i] - b[i]).abs() < 1e-8);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! ppdl generate --preset ibmpg2 --scale 0.01 --seed 7 --out grid.spice [--svg fp.svg]
 //! ppdl analyze <deck.spice> [--map map.csv] [--resolution 100] [--precond ic0]
 //! ppdl flow --preset ibmpg2 --scale 0.01 [--fast] [--gamma 0.1] [--model model.ppdl]
-//!           [--precond jacobi|block-jacobi|ic0|none|direct]
+//!           [--precond ic0]
 //! ppdl train --preset ibmpg2 --scale 0.006 --out model.bundle [--fast] [--backend mlp|cnn|encdec]
 //! ppdl synth --preset ibmpg2 [--scale 0.01] [--seed 7] [--fast] [--backend mlp|cnn|encdec]
 //!            [--precond ic0] [--budget 1200] [--bundle model.bundle] [--out widths.csv]
@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use powerplanningdl::analysis::{AnalysisOptions, IrDropMap, PreconditionerKind, StaticAnalysis};
+use powerplanningdl::analysis::{AnalysisOptions, IrDropMap, StaticAnalysis};
 use powerplanningdl::core::{
     experiment, synthesize, PowerPlanningDl, SynthConfig, TrainedBundle, WidthPredictor,
 };
@@ -33,6 +33,7 @@ use powerplanningdl::netlist::{parse_spice, IbmPgPreset, Orientation, SyntheticB
 use powerplanningdl::service::{
     serve_ndjson, serve_tcp, serve_unix, ModelRegistry, NetConfig, ServiceConfig,
 };
+use powerplanningdl::solver::PrecondKind;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -75,9 +76,9 @@ USAGE:
              [--listen <addr:port> | --unix <sock>] [--max-clients <n>]
 
 Every subcommand also accepts --threads <n> (pin the worker pool before
-the first kernel runs; overrides PPDL_THREADS). analyze and flow accept
---precond <none|jacobi|block-jacobi|ic0|direct> to pick the
-preconditioner of the conventional IR-drop solves (default ic0).
+the first kernel runs; overrides PPDL_THREADS). analyze, flow and synth
+accept --precond <kind> to pick the preconditioner of the conventional
+IR-drop solves (default ic0; an unknown kind lists the accepted ones).
 
 synth runs predictor-in-the-loop synthesis: it trains (or loads, with
 --bundle) a width model, anneals one width template per grid region
@@ -185,14 +186,10 @@ fn apply_threads(flags: &Flags) -> Result<(), String> {
 }
 
 /// Parses `--precond <kind>`, or `None` when the flag is absent.
-fn precond_from(flags: &Flags) -> Result<Option<PreconditionerKind>, String> {
+fn precond_from(flags: &Flags) -> Result<Option<PrecondKind>, String> {
     flags
         .get("precond")
-        .map(|s| {
-            PreconditionerKind::parse(s).ok_or_else(|| {
-                format!("unknown preconditioner '{s}' (none|jacobi|block-jacobi|ic0|direct)")
-            })
-        })
+        .map(|s| s.parse::<PrecondKind>().map_err(|e| e.to_string()))
         .transpose()
 }
 

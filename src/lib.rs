@@ -9,8 +9,9 @@
 //! * [`netlist`] — IBM-PG-style SPICE netlists: parser, writer, network
 //!   model, and a synthetic benchmark generator with per-benchmark
 //!   presets.
-//! * [`solver`] — sparse linear algebra (CSR, preconditioned CG,
-//!   IC(0)/Jacobi preconditioners, dense factorizations).
+//! * [`solver`] — sparse linear algebra (CSR, preconditioned CG with
+//!   one [`PrecondKind`](solver::PrecondKind) enum, sparse and dense
+//!   Cholesky).
 //! * [`floorplan`] — functional blocks, power pads, strap plans, and a
 //!   seeded floorplan generator.
 //! * [`analysis`] — static IR-drop analysis (MNA assembly + solve),
@@ -33,8 +34,7 @@
 //! # Parallel execution
 //!
 //! Every hot path — sparse matrix–vector products, the CG vector
-//! kernels, minibatch training, per-scenario vectored solves, and γ
-//! perturbation sweeps — runs on the workspace-wide thread pool
+//! kernels, minibatch training, and γ perturbation sweeps — runs on the workspace-wide thread pool
 //! configured through [`parallel`] (re-exported from the solver crate).
 //! The thread count defaults to the machine's parallelism, can be
 //! pinned with the `PPDL_THREADS` environment variable or

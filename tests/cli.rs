@@ -71,6 +71,43 @@ fn generate_then_analyze_round_trip() {
     assert!(text.contains("worst-case IR drop"));
     let csv = std::fs::read_to_string(&map).unwrap();
     assert_eq!(csv.lines().count(), 8);
+
+    // Every `--precond` spelling solves the same deck to the same drop.
+    let default_mv = worst_drop_mv(&text);
+    for kind in [
+        "none",
+        "jacobi",
+        "block-jacobi",
+        "direct",
+        "direct-cholesky",
+    ] {
+        let out = ppdl(&["analyze", deck.to_str().unwrap(), "--precond", kind]);
+        assert!(
+            out.status.success(),
+            "analyze --precond {kind} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mv = worst_drop_mv(&String::from_utf8_lossy(&out.stdout));
+        assert!(
+            (mv - default_mv).abs() <= 1e-3,
+            "--precond {kind}: {mv} mV vs default {default_mv} mV"
+        );
+    }
+    let out = ppdl(&["analyze", deck.to_str().unwrap(), "--precond", "amg"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    for spelling in ["amg", "none", "jacobi", "block-jacobi", "ic0", "direct"] {
+        assert!(err.contains(spelling), "missing {spelling:?} in: {err}");
+    }
+}
+
+/// The millivolt figure of `analyze`'s `worst-case IR drop` line.
+fn worst_drop_mv(stdout: &str) -> f64 {
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("worst-case IR drop: "))
+        .unwrap_or_else(|| panic!("no worst-case IR drop line in: {stdout}"));
+    line.split_whitespace().next().unwrap().parse().unwrap()
 }
 
 #[test]
