@@ -9,8 +9,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ppdl_core::pipeline::{run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx};
-use ppdl_core::{experiment, segment_dataset, FeatureSet};
+use ppdl_core::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx,
+};
+use ppdl_core::{segment_dataset, FeatureSet};
 use ppdl_netlist::IbmPgPreset;
 use ppdl_nn::{
     metrics, Activation, Adam, Dataset, Loss, MlpBuilder, Momentum, Optimizer, RmsProp, Sgd,
@@ -52,7 +54,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     );
     let mut ctx = PipelineCtx::new(base_config(opts), cache);
     run_stage(
-        &experiment::preset_source(IbmPgPreset::Ibmpg2, opts.scale, opts.seed),
+        &BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, opts.scale, opts.seed),
         &mut ctx,
     )?;
     run_stage(&FeatureExtractStage, &mut ctx)?;

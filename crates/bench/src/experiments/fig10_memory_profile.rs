@@ -6,11 +6,12 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use ppdl_core::pipeline::ArtifactCache;
+use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage};
+use ppdl_core::PowerPlanningDl;
 use ppdl_netlist::IbmPgPreset;
 
-use super::{manifest_for, DynError, RunOutput};
-use crate::harness::{format_table, run_preset_cached, write_csv, Options};
+use super::{base_config, manifest_for, DynError, RunOutput};
+use crate::harness::{format_table, write_csv, Options};
 use crate::memtrack::{peak_bytes, reset_peak, to_mib, Sampler};
 
 pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOutput, DynError> {
@@ -22,10 +23,14 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         opts.scale, opts.seed
     );
     let mut rows = Vec::new();
+    let flow = PowerPlanningDl::new(base_config(opts));
     for preset in [IbmPgPreset::Ibmpg2, IbmPgPreset::Ibmpg6] {
         reset_peak();
         let sampler = Sampler::start(Duration::from_millis(5));
-        let outcome = run_preset_cached(preset, opts, cache);
+        let outcome = flow.run(
+            BenchmarkSourceStage::preset(preset, opts.scale, opts.seed),
+            cache,
+        );
         let profile = sampler.stop();
         let records = match outcome {
             Ok((_, records)) => records,

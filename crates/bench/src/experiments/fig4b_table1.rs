@@ -9,8 +9,10 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::pipeline::{run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx, TrainStage};
-use ppdl_core::{experiment, FeatureSet};
+use ppdl_core::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, TrainStage,
+};
+use ppdl_core::FeatureSet;
 use ppdl_netlist::IbmPgPreset;
 
 use super::{base_config, manifest_for, DynError, RunOutput};
@@ -27,7 +29,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     // Shared prefix: generate + calibrate + conventionally size, once.
     let mut ctx = PipelineCtx::new(base_config(opts), cache);
     run_stage(
-        &experiment::preset_source(IbmPgPreset::Ibmpg1, opts.scale, opts.seed),
+        &BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg1, opts.scale, opts.seed),
         &mut ctx,
     )?;
     run_stage(&FeatureExtractStage, &mut ctx)?;

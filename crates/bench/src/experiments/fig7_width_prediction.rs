@@ -8,8 +8,8 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::experiment;
-use ppdl_core::pipeline::{ArtifactCache, Pipeline, PipelineCtx};
+use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage};
+use ppdl_core::PowerPlanningDl;
 use ppdl_netlist::IbmPgPreset;
 
 use super::{base_config, manifest_for, DynError, RunOutput};
@@ -23,21 +23,16 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         "Fig. 7 reproduction on ibmpg2 (scale {}, seed {})\n",
         opts.scale, opts.seed
     );
-    let mut ctx = PipelineCtx::new(base_config(opts), cache);
-    Pipeline::standard(experiment::preset_source(
-        IbmPgPreset::Ibmpg2,
-        opts.scale,
-        opts.seed,
-    ))
-    .run(&mut ctx)?;
-    manifest.record_stages("ibmpg2", &ctx.records);
+    let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, opts.scale, opts.seed);
+    let (outcome, records) = PowerPlanningDl::new(base_config(opts)).run(source, cache)?;
+    manifest.record_stages("ibmpg2", &records);
 
     // (golden, predicted) pairs on the test design, from the one
-    // trained predictor in the train slot.
-    let predictor = &ctx.trained()?.predictor;
-    let pairs =
-        predictor.scatter_data(&ctx.predicted()?.test_bench, &ctx.sizing()?.golden_widths)?;
-    let metrics = &ctx.validated()?.metrics;
+    // predictor the flow trained.
+    let pairs = outcome
+        .predictor
+        .scatter_data(&outcome.test_bench, &outcome.golden_widths)?;
+    let metrics = &outcome.width_metrics;
 
     // (a) scatter: write all pairs; print summary statistics.
     let scatter_rows: Vec<Vec<String>> = pairs

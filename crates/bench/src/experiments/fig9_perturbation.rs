@@ -11,10 +11,10 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::pipeline::{run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx, TrainStage};
-use ppdl_core::{
-    experiment, run_perturbation_sweep, ConventionalConfig, ConventionalFlow, PerturbationKind,
+use ppdl_core::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, TrainStage,
 };
+use ppdl_core::{experiment, run_perturbation_sweep, ConventionalFlow, PerturbationKind};
 use ppdl_netlist::IbmPgPreset;
 
 use super::{base_builder, manifest_for, DynError, RunOutput};
@@ -36,15 +36,10 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         // widths from jumping in coarse quanta between gamma points;
         // it feeds the feature-extract cache key, so these sizings
         // never collide with the default-widen artifacts.
-        let config = base_builder(opts)
-            .conventional(ConventionalConfig {
-                widen_factor: 1.15,
-                ..ConventionalConfig::default()
-            })
-            .build();
+        let config = base_builder(opts).widen_factor(1.15).build();
         let mut ctx = PipelineCtx::new(config, cache);
         run_stage(
-            &experiment::preset_source(preset, opts.scale, opts.seed),
+            &BenchmarkSourceStage::preset(preset, opts.scale, opts.seed),
             &mut ctx,
         )?;
         run_stage(&FeatureExtractStage, &mut ctx)?;

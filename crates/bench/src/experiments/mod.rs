@@ -184,7 +184,7 @@ pub fn find(name: &str) -> Option<&'static ExperimentDef> {
 }
 
 /// The base flow configuration every experiment derives from `--fast`
-/// ([`base_builder`] with no extra knobs).
+/// and `--precond` ([`base_builder`] with no extra knobs).
 #[must_use]
 pub fn base_config(opts: &Options) -> DlFlowConfig {
     base_builder(opts).build()

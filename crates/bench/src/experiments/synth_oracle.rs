@@ -13,8 +13,9 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::experiment;
-use ppdl_core::pipeline::{run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx, TrainStage};
+use ppdl_core::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, TrainStage,
+};
 use ppdl_core::predict::BundleMeta;
 use ppdl_core::{synthesize, SynthConfig, TrainedBundle};
 use ppdl_netlist::IbmPgPreset;
@@ -48,7 +49,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
         .build();
     let mut ctx = PipelineCtx::new(config, cache);
     run_stage(
-        &experiment::preset_source(preset, opts.scale, opts.seed),
+        &BenchmarkSourceStage::preset(preset, opts.scale, opts.seed),
         &mut ctx,
     )?;
     run_stage(&FeatureExtractStage, &mut ctx)?;

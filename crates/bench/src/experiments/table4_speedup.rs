@@ -9,11 +9,12 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::pipeline::ArtifactCache;
+use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage};
+use ppdl_core::PowerPlanningDl;
 use ppdl_netlist::IbmPgPreset;
 
-use super::{manifest_for, DynError, RunOutput};
-use crate::harness::{format_table, run_preset_cached, write_primary_csv, Options};
+use super::{base_config, manifest_for, DynError, RunOutput};
+use crate::harness::{format_table, write_primary_csv, Options};
 
 /// The paper's Table IV, for side-by-side comparison.
 fn paper_speedup(preset: IbmPgPreset) -> f64 {
@@ -39,8 +40,10 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     );
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
+    let flow = PowerPlanningDl::new(base_config(opts));
     for preset in IbmPgPreset::ALL {
-        let (outcome, records) = match run_preset_cached(preset, opts, cache) {
+        let source = BenchmarkSourceStage::preset(preset, opts.scale, opts.seed);
+        let (outcome, records) = match flow.run(source, cache) {
             Ok(o) => o,
             Err(e) => {
                 let _ = writeln!(report, "{preset}: {e}");

@@ -11,8 +11,9 @@
 
 use std::fmt::Write as _;
 
-use ppdl_core::experiment;
-use ppdl_core::pipeline::{run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx, TrainStage};
+use ppdl_core::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, TrainStage,
+};
 use ppdl_core::BackendKind;
 use ppdl_netlist::IbmPgPreset;
 
@@ -55,7 +56,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     for &preset in presets {
         let mut ctx = PipelineCtx::new(base_config(opts), cache);
         run_stage(
-            &experiment::preset_source(preset, opts.scale, opts.seed),
+            &BenchmarkSourceStage::preset(preset, opts.scale, opts.seed),
             &mut ctx,
         )?;
         run_stage(&FeatureExtractStage, &mut ctx)?;

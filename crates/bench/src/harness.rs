@@ -8,9 +8,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use ppdl_core::pipeline::{ArtifactCache, StageRecord};
-use ppdl_core::{experiment, DlOutcome};
-use ppdl_netlist::IbmPgPreset;
+use ppdl_core::pipeline::ArtifactCache;
 
 /// Command-line options shared by every experiment.
 ///
@@ -198,22 +196,6 @@ impl Options {
             ppdl_solver::parallel::set_threads(t);
         }
     }
-}
-
-/// Runs the full PowerPlanningDL flow for one preset under the
-/// standard experiment recipe (calibrated loads, Table III margin)
-/// through the pipeline engine, with stage records for the run
-/// manifest and an optional artifact cache.
-///
-/// # Errors
-///
-/// Propagates framework errors.
-pub fn run_preset_cached(
-    preset: IbmPgPreset,
-    opts: &Options,
-    cache: Option<&ArtifactCache>,
-) -> ppdl_core::Result<(DlOutcome, Vec<StageRecord>)> {
-    experiment::run_preset_cached(preset, opts.scale, opts.seed, opts.fast, cache)
 }
 
 /// Formats an aligned text table.

@@ -1,9 +1,11 @@
 //! Registry-level smoke tests: experiments run end to end through
-//! `execute`, write manifests, and hit the artifact cache on repeat
-//! runs with identical configuration.
+//! `execute`, write manifests, hit the artifact cache on repeat runs
+//! with identical configuration, and honour the shared options.
 
 use ppdl_bench::experiments::{execute, find};
 use ppdl_bench::harness::Options;
+use ppdl_core::pipeline::RunManifest;
+use ppdl_solver::PrecondKind;
 
 fn opts_for(tag: &str, scale: f64) -> Options {
     let dir = std::env::temp_dir().join(format!("ppdl_registry_{tag}_{}", std::process::id()));
@@ -55,4 +57,38 @@ fn table2_caches_generation_and_honours_no_cache() {
     let uncached = execute(def, &opts).expect("uncached run");
     assert_eq!(uncached.manifest.cache_hits(), 0, "--no-cache must bypass");
     assert_eq!(cold.manifest.metrics, uncached.manifest.metrics);
+}
+
+#[test]
+fn precond_reaches_every_sizing_experiment() {
+    // fig8 runs the whole flow, as table3/4/5 and fig10 do; fig9 runs
+    // the source → size → train prefix with its own widening factor.
+    // Every listed stage hashes the analysis options, so its key must
+    // move with --precond.
+    for (name, stages) in [
+        ("fig8_ir_maps", &["feature-extract", "validate"][..]),
+        ("fig9_perturbation", &["feature-extract"][..]),
+    ] {
+        let def = find(name).expect("registered");
+        let mut opts = opts_for(&format!("precond_{name}"), 0.004);
+        opts.no_cache = true;
+        let default = execute(def, &opts).expect("default run");
+        opts.precond = Some(PrecondKind::Jacobi);
+        let jacobi = execute(def, &opts).expect("jacobi run");
+        for stage in stages {
+            let keys = |m: &RunManifest| -> Vec<_> {
+                m.stages
+                    .iter()
+                    .filter(|r| r.name.ends_with(stage))
+                    .map(|r| r.key)
+                    .collect()
+            };
+            let (a, b) = (keys(&default.manifest), keys(&jacobi.manifest));
+            assert_eq!(a.len(), 2, "{name}: one {stage} stage per preset");
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_ne!(x, y, "{name}: --precond did not reach {stage}");
+            }
+        }
+    }
 }

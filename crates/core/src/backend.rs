@@ -378,18 +378,16 @@ impl BackendModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConventionalFlow;
+    use crate::pipeline::{run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx};
     use ppdl_netlist::IbmPgPreset;
 
     fn sized() -> (SyntheticBenchmark, Vec<f64>) {
-        let prepared = crate::experiment::prepare(IbmPgPreset::Ibmpg2, 0.008, 11, 2.5).unwrap();
-        let (sized, res) = ConventionalFlow::new(crate::ConventionalConfig {
-            ir_margin_fraction: prepared.margin_fraction,
-            ..crate::ConventionalConfig::default()
-        })
-        .run(&prepared.bench)
-        .unwrap();
-        (sized, res.widths)
+        let mut ctx = PipelineCtx::new(crate::DlFlowConfig::default(), None);
+        let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.008, 11);
+        run_stage(&source, &mut ctx).unwrap();
+        run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+        let sizing = ctx.sizing.take().unwrap();
+        (sizing.sized, sizing.golden_widths)
     }
 
     #[test]

@@ -7,20 +7,23 @@
 //! quality and wall-clock time against a conventional analysis of the
 //! same perturbed design — the Table III/IV/V measurements.
 //!
-//! Since the pipeline refactor this module is a facade over the stage
-//! engine in [`crate::pipeline`]: [`PowerPlanningDl::run`] is exactly
-//! the five-stage standard pipeline, and the `*_cached` variants thread
-//! an [`ArtifactCache`] through so repeated runs skip sizing, training,
-//! and ground-truth solves.
+//! [`PowerPlanningDl::run`] is the one way to run the whole flow: it
+//! drives the five stages of [`crate::pipeline`] from a preset
+//! [`BenchmarkSourceStage`], optionally against an [`ArtifactCache`] so
+//! repeated runs skip sizing, training, and ground-truth solves.
 
 use std::time::Duration;
 
 use ppdl_analysis::IrDropReport;
 use ppdl_netlist::SyntheticBenchmark;
 
-use crate::pipeline::{ArtifactCache, BenchmarkSourceStage, Pipeline, PipelineCtx, StageRecord};
+use crate::pipeline::{
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, PredictStage,
+    Stage, StageRecord, TrainStage, ValidateStage,
+};
 use crate::{
-    BackendKind, ConventionalConfig, PerturbationKind, PredictedIr, PredictorConfig, WidthMetrics,
+    BackendKind, BackendModel, ConventionalConfig, CoreError, PerturbationKind, PredictedIr,
+    PredictorConfig, WidthMetrics,
 };
 
 /// Configuration of the full flow.
@@ -108,36 +111,18 @@ impl DlFlowConfigBuilder {
         self
     }
 
-    /// Replaces the conventional-baseline configuration.
-    #[must_use]
-    pub fn conventional(mut self, conventional: ConventionalConfig) -> Self {
-        self.config.conventional = conventional;
-        self
-    }
-
-    /// Sets the IR margin the conventional sizing targets, as a
-    /// fraction of Vdd (shorthand for the common case of
-    /// [`conventional`](Self::conventional)).
-    #[must_use]
-    pub fn ir_margin_fraction(mut self, fraction: f64) -> Self {
-        self.config.conventional.ir_margin_fraction = fraction;
-        self
-    }
-
     /// Sets the per-iteration widening multiplier of the conventional
-    /// sizing loop (shorthand for the common case of
-    /// [`conventional`](Self::conventional)). Finer factors converge
-    /// tighter margins at the price of more full-solve iterations —
-    /// the trade the synthesis experiment measures.
+    /// sizing loop. Finer factors converge tighter margins at the price
+    /// of more full-solve iterations — the trade the synthesis
+    /// experiment measures.
     #[must_use]
     pub fn widen_factor(mut self, factor: f64) -> Self {
         self.config.conventional.widen_factor = factor;
         self
     }
 
-    /// Selects the preconditioner for the conventional sizing's
-    /// analysis solves (shorthand for the common case of
-    /// [`conventional`](Self::conventional)).
+    /// Selects the preconditioner for the conventional sizing's and the
+    /// validation's analysis solves.
     #[must_use]
     pub fn preconditioner(mut self, kind: ppdl_solver::PrecondKind) -> Self {
         self.config.conventional.analysis.preconditioner = kind;
@@ -165,24 +150,10 @@ impl DlFlowConfigBuilder {
         self
     }
 
-    /// Sets what the perturbation touches.
-    #[must_use]
-    pub fn perturbation_kind(mut self, kind: PerturbationKind) -> Self {
-        self.config.perturbation_kind = kind;
-        self
-    }
-
     /// Sets the perturbation seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Sets the segment-sampling stride of the timed inference path.
-    #[must_use]
-    pub fn inference_stride(mut self, stride: usize) -> Self {
-        self.config.inference_stride = stride;
         self
     }
 
@@ -192,22 +163,17 @@ impl DlFlowConfigBuilder {
         self.config
     }
 
-    /// Finishes the builder, rejecting out-of-range knobs (γ outside
-    /// `(0, 1)`, zero stride) instead of failing later inside the flow.
+    /// Finishes the builder, rejecting a perturbation size γ outside
+    /// `(0, 1)` instead of failing later inside the flow.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::CoreError::InvalidConfig`].
+    /// Returns [`CoreError::InvalidConfig`].
     pub fn try_build(self) -> crate::Result<DlFlowConfig> {
         let c = self.config;
         if !(c.perturbation_gamma > 0.0 && c.perturbation_gamma < 1.0) {
-            return Err(crate::CoreError::InvalidConfig {
+            return Err(CoreError::InvalidConfig {
                 detail: format!("perturbation size {} outside (0, 1)", c.perturbation_gamma),
-            });
-        }
-        if c.inference_stride == 0 {
-            return Err(crate::CoreError::InvalidConfig {
-                detail: "inference stride must be at least 1".into(),
             });
         }
         Ok(c)
@@ -246,6 +212,8 @@ pub struct DlOutcome {
     pub timing: Timing,
     /// The training run's loss history.
     pub train_report: crate::TrainSummary,
+    /// The width model the flow trained (or restored from the cache).
+    pub predictor: BackendModel,
     /// The sized (trained-on) benchmark.
     pub sized_bench: SyntheticBenchmark,
     /// The perturbed test benchmark.
@@ -263,13 +231,16 @@ pub struct DlOutcome {
 /// # Example
 ///
 /// ```
-/// use ppdl_core::{experiment, PowerPlanningDl};
+/// use ppdl_core::pipeline::BenchmarkSourceStage;
+/// use ppdl_core::{DlFlowConfig, PowerPlanningDl};
 /// use ppdl_netlist::IbmPgPreset;
 ///
-/// let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.006, 3, 2.5).unwrap();
-/// let config = experiment::flow_config(&prepared, true);
-/// let outcome = PowerPlanningDl::new(config).run(&prepared.bench).unwrap();
+/// let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.006, 3);
+/// let (outcome, records) = PowerPlanningDl::new(DlFlowConfig::fast())
+///     .run(source, None)
+///     .unwrap();
 /// assert!(outcome.width_metrics.r2 > 0.4);
+/// assert_eq!(records.len(), 5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PowerPlanningDl {
@@ -283,86 +254,66 @@ impl PowerPlanningDl {
         Self { config }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &DlFlowConfig {
-        &self.config
-    }
-
-    /// Runs the full train-then-validate flow on `bench`.
+    /// Runs the full train-then-validate flow — the five pipeline
+    /// stages, in order — on the benchmark `source` builds. With a
+    /// cache, stages whose inputs are unchanged decode their artifacts
+    /// from disk instead of recomputing, and the returned
+    /// [`StageRecord`]s say which did.
     ///
     /// # Errors
     ///
-    /// Propagates conventional-sizing, training, prediction, and
-    /// analysis errors.
-    pub fn run(&self, bench: &SyntheticBenchmark) -> crate::Result<DlOutcome> {
-        Ok(self.run_cached(bench, None)?.0)
-    }
-
-    /// [`run`](Self::run) with an artifact cache: stages whose inputs
-    /// are unchanged decode their artifacts from disk instead of
-    /// recomputing, and the returned [`StageRecord`]s say which did.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage execution errors. Cache decode errors never
-    /// fail a run — the stage recomputes.
-    pub fn run_cached(
-        &self,
-        bench: &SyntheticBenchmark,
-        cache: Option<&ArtifactCache>,
-    ) -> crate::Result<(DlOutcome, Vec<StageRecord>)> {
-        self.run_source_cached(BenchmarkSourceStage::provided(bench.clone()), cache)
-    }
-
-    /// Runs the standard five-stage pipeline from an arbitrary
-    /// benchmark source (e.g. a cacheable preset source that also
-    /// skips generation + calibration on warm runs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage execution errors.
-    pub fn run_source_cached(
+    /// Propagates generation, calibration, sizing, training,
+    /// prediction, and analysis errors. Cache decode errors never fail
+    /// a run — the stage recomputes.
+    pub fn run(
         &self,
         source: BenchmarkSourceStage,
         cache: Option<&ArtifactCache>,
     ) -> crate::Result<(DlOutcome, Vec<StageRecord>)> {
         let mut ctx = PipelineCtx::new(self.config.clone(), cache);
-        Pipeline::standard(source).run(&mut ctx)?;
-        let outcome = Self::outcome_from_ctx(&ctx)?;
-        Ok((outcome, ctx.records))
-    }
-
-    /// Assembles the legacy outcome struct from a completed context.
-    fn outcome_from_ctx(ctx: &PipelineCtx) -> crate::Result<DlOutcome> {
-        let sizing = ctx.sizing()?;
-        let trained = ctx.trained()?;
-        let predicted = ctx.predicted()?;
-        let validated = ctx.validated()?;
-
-        let conventional_time = Duration::from_secs_f64(validated.conv_secs);
-        let dl_time = Duration::from_secs_f64(predicted.dl_secs);
-        let speedup = validated.conv_secs / predicted.dl_secs.max(f64::EPSILON);
-        let conventional_worst_ir_mv = validated.report.worst_drop().map_or(0.0, |(_, d)| d) * 1e3;
-
-        Ok(DlOutcome {
-            golden_widths: sizing.golden_widths.clone(),
-            predicted_widths: predicted.predicted_widths.clone(),
+        let stages: [&dyn Stage; 5] = [
+            &source,
+            &FeatureExtractStage,
+            &TrainStage,
+            &PredictStage,
+            &ValidateStage,
+        ];
+        for stage in stages {
+            run_stage(stage, &mut ctx)?;
+        }
+        let PipelineCtx {
+            sizing: Some(sizing),
+            trained: Some(trained),
+            predicted: Some(predicted),
+            validated: Some(validated),
+            records,
+            ..
+        } = ctx
+        else {
+            return Err(CoreError::InvalidConfig {
+                detail: "pipeline stage ordering bug: a stage left its slot empty".into(),
+            });
+        };
+        let outcome = DlOutcome {
+            golden_widths: sizing.golden_widths,
+            predicted_widths: predicted.predicted_widths,
             width_metrics: validated.metrics,
-            conventional_worst_ir_mv,
+            conventional_worst_ir_mv: validated.report.worst_drop().map_or(0.0, |(_, d)| d) * 1e3,
             predicted_worst_ir_mv: predicted.predicted_ir.worst_mv(),
             timing: Timing {
-                conventional: conventional_time,
-                dl: dl_time,
-                speedup,
+                conventional: Duration::from_secs_f64(validated.conv_secs),
+                dl: Duration::from_secs_f64(predicted.dl_secs),
+                speedup: validated.conv_secs / predicted.dl_secs.max(f64::EPSILON),
             },
-            train_report: trained.summary.clone(),
-            sized_bench: sizing.sized.clone(),
-            test_bench: predicted.test_bench.clone(),
-            test_report: validated.report.clone(),
-            predicted_ir: predicted.predicted_ir.clone(),
+            train_report: trained.summary,
+            predictor: trained.predictor,
+            sized_bench: sizing.sized,
+            test_bench: predicted.test_bench,
+            test_report: validated.report,
+            predicted_ir: predicted.predicted_ir,
             conventional_iterations: sizing.iterations,
-        })
+        };
+        Ok((outcome, records))
     }
 }
 
@@ -372,9 +323,11 @@ mod tests {
     use ppdl_netlist::IbmPgPreset;
 
     fn outcome() -> DlOutcome {
-        let prepared = crate::experiment::prepare(IbmPgPreset::Ibmpg2, 0.008, 13, 2.5).unwrap();
-        let config = crate::experiment::flow_config(&prepared, true);
-        PowerPlanningDl::new(config).run(&prepared.bench).unwrap()
+        let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.008, 13);
+        PowerPlanningDl::new(DlFlowConfig::fast())
+            .run(source, None)
+            .unwrap()
+            .0
     }
 
     #[test]

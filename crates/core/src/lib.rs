@@ -30,12 +30,14 @@
 //! # Example
 //!
 //! ```
-//! use ppdl_core::{experiment, PowerPlanningDl};
+//! use ppdl_core::pipeline::BenchmarkSourceStage;
+//! use ppdl_core::{DlFlowConfig, PowerPlanningDl};
 //! use ppdl_netlist::IbmPgPreset;
 //!
-//! let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.006, 7, 2.5).unwrap();
-//! let config = experiment::flow_config(&prepared, true);
-//! let outcome = PowerPlanningDl::new(config).run(&prepared.bench).unwrap();
+//! let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.006, 7);
+//! let (outcome, _stages) = PowerPlanningDl::new(DlFlowConfig::fast())
+//!     .run(source, None)
+//!     .unwrap();
 //! assert!(outcome.width_metrics.r2 > 0.4);
 //! assert!(outcome.timing.speedup > 0.0);
 //! ```

@@ -2,7 +2,7 @@
 //!
 //! The paper's whole argument is *train once, predict many*; this
 //! module makes the reproduction actually work that way. Every
-//! experiment is the same five-stage pipeline,
+//! experiment runs (a prefix of) the same five-stage pipeline,
 //!
 //! ```text
 //! BenchmarkSource → FeatureExtract → Train → Predict → Validate
@@ -12,8 +12,8 @@
 //!                                    (artifact) (artifact) (artifact)
 //! ```
 //!
-//! where each stage is a [`Stage`] trait object that reads its inputs
-//! from the shared [`PipelineCtx`], writes one typed artifact slot, and
+//! where each stage is a [`Stage`] that reads its inputs from the
+//! shared [`PipelineCtx`], writes one typed artifact slot, and
 //! exposes a stable [`CacheKey`] derived from every input that affects
 //! its output (preset, scale, seed, hyperparameters, and the upstream
 //! stage's key). Give the pipeline an [`ArtifactCache`] and a repeated
@@ -25,8 +25,12 @@
 //! per-stage timings, cache hits, metrics, `git describe`, and the
 //! thread count.
 //!
-//! The stage names map onto the paper (and onto the legacy modules)
-//! as follows: `BenchmarkSource` wraps generation plus
+//! [`PowerPlanningDl::run`](crate::PowerPlanningDl::run) is the one
+//! driver of all five stages. Experiments that need only the train
+//! prefix (source → size → train) call [`run_stage`] stage by stage.
+//!
+//! The stage names map onto the paper as follows: `BenchmarkSource`
+//! wraps generation plus
 //! [`calibrate_to_worst_ir`](crate::calibrate_to_worst_ir);
 //! `FeatureExtract` wraps the conventional sizing loop that
 //! manufactures the golden labels the features are extracted against
@@ -60,10 +64,11 @@ pub struct BenchSlot {
     pub bench: SyntheticBenchmark,
     /// IR margin as a fraction of Vdd.
     pub margin_fraction: f64,
-    /// The margin in volts (the Table III target), when preset-derived.
+    /// The margin in volts (the Table III target for a calibrated
+    /// source).
     pub target_worst_ir: f64,
-    /// Total load-scaling factor calibration applied (1.0 when the
-    /// bench was provided pre-calibrated).
+    /// Total load-scaling factor calibration applied (1.0 for an
+    /// uncalibrated source).
     pub calibration_factor: f64,
 }
 
@@ -212,8 +217,8 @@ pub trait Stage {
     fn name(&self) -> &'static str;
 
     /// The content-address of this stage's output given the context so
-    /// far, or `None` when the stage is not cacheable (e.g. a
-    /// caller-provided benchmark object).
+    /// far, or `None` when the context lacks an input the key needs
+    /// (no upstream key yet); such a stage always executes.
     fn cache_key(&self, ctx: &PipelineCtx) -> Option<CacheKey>;
 
     /// Decodes a cached artifact into the context slot. Errors mean
@@ -228,47 +233,16 @@ pub trait Stage {
     fn encode(&self, ctx: &PipelineCtx) -> Option<String>;
 }
 
-/// A sequence of stages run against one context.
-pub struct Pipeline {
-    stages: Vec<Box<dyn Stage>>,
-}
-
-impl Pipeline {
-    /// Builds a pipeline from an explicit stage list.
-    #[must_use]
-    pub fn new(stages: Vec<Box<dyn Stage>>) -> Self {
-        Self { stages }
-    }
-
-    /// The full five-stage experiment pipeline for a preset benchmark.
-    #[must_use]
-    pub fn standard(source: BenchmarkSourceStage) -> Self {
-        Self::new(vec![
-            Box::new(source),
-            Box::new(FeatureExtractStage),
-            Box::new(TrainStage),
-            Box::new(PredictStage::from_config()),
-            Box::new(ValidateStage),
-        ])
-    }
-
-    /// Runs every stage in order, consulting the cache around each.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first stage execution error. Cache *decode*
-    /// errors never fail a run — the stage recomputes instead.
-    pub fn run(&self, ctx: &mut PipelineCtx) -> crate::Result<()> {
-        for stage in &self.stages {
-            run_stage(stage.as_ref(), ctx)?;
-        }
-        Ok(())
-    }
-}
-
 /// Runs a single stage against a context: key → cache probe → decode
-/// or execute → store → record. Exposed so composite flows (sweeps)
-/// can run stage subsets without duplicating the bookkeeping.
+/// or execute → store → record.
+/// [`PowerPlanningDl::run`](crate::PowerPlanningDl::run) runs all five
+/// stages through it; experiments that need only a prefix (source →
+/// size → train) call it stage by stage.
+///
+/// # Errors
+///
+/// Propagates the stage's execution error. Cache *decode* errors never
+/// fail a run — the stage recomputes instead.
 pub fn run_stage(stage: &dyn Stage, ctx: &mut PipelineCtx) -> crate::Result<()> {
     // The span wraps the whole probe/decode/execute/store sequence, so
     // solver/NN spans opened inside a stage nest under

@@ -13,6 +13,7 @@ use ppdl_nn::TrainReport;
 
 use super::cache::{CacheKey, StableHasher};
 use super::{BenchSlot, PipelineCtx, PredictSlot, SizingSlot, Stage, TrainSlot, ValidateSlot};
+use crate::experiment::STANDARD_OVERDRIVE;
 use crate::{
     calibrate_to_worst_ir, BackendModel, ConventionalFlow, CoreError, Perturbation, PredictedIr,
     PredictorConfig, TrainSummary,
@@ -139,88 +140,46 @@ fn hash_predictor_config(h: &mut StableHasher, c: &PredictorConfig) {
 
 /// Stage 1: produce the (calibrated) benchmark under test.
 ///
-/// `Preset` generates an IBM PG preset at a scale/seed and — unless
-/// `overdrive` is `None` — calibrates its loads so the initial design
-/// violates the preset's Table III margin by the overdrive factor,
-/// then overrides the conventional margin in the context config, the
-/// same recipe as [`experiment::prepare`](crate::experiment::prepare).
+/// The source generates an IBM PG preset at a scale/seed and — unless
+/// it is [`uncalibrated`](Self::uncalibrated) — calibrates its loads so
+/// the initial design violates the preset's Table III margin by
+/// [`STANDARD_OVERDRIVE`], then overrides the conventional margin in
+/// the context config with that target (the paper's §V-A recipe).
 /// The cached artifact is the post-calibration load-current vector:
 /// a warm run regenerates the deterministic grid and restores the
 /// loads, skipping every calibration solve.
-///
-/// `Provided` wraps a caller-supplied benchmark; its key is a content
-/// fingerprint (widths, loads, supply, element counts), so downstream
-/// stages still cache correctly.
-#[derive(Debug, Clone)]
-pub enum BenchmarkSourceStage {
-    /// Generate (and optionally calibrate) a preset benchmark.
-    Preset {
-        /// Which IBM PG benchmark to synthesise.
-        preset: IbmPgPreset,
-        /// Fraction of the published Table II size.
-        scale: f64,
-        /// Generation seed.
-        seed: u64,
-        /// Margin-violation factor for load calibration; `None` skips
-        /// calibration (generation-only experiments).
-        overdrive: Option<f64>,
-    },
-    /// Use a benchmark object the caller already holds.
-    Provided(Box<SyntheticBenchmark>),
+#[derive(Debug, Clone, Copy)]
+pub struct BenchmarkSourceStage {
+    preset: IbmPgPreset,
+    scale: f64,
+    seed: u64,
+    calibrated: bool,
 }
 
 impl BenchmarkSourceStage {
     /// A calibrated preset source — the standard experiment recipe.
     #[must_use]
-    pub fn preset(preset: IbmPgPreset, scale: f64, seed: u64, overdrive: f64) -> Self {
-        Self::Preset {
+    pub fn preset(preset: IbmPgPreset, scale: f64, seed: u64) -> Self {
+        Self {
             preset,
             scale,
             seed,
-            overdrive: Some(overdrive),
+            calibrated: true,
         }
     }
 
     /// An uncalibrated preset source (generation-only experiments).
     #[must_use]
     pub fn uncalibrated(preset: IbmPgPreset, scale: f64, seed: u64) -> Self {
-        Self::Preset {
+        Self {
             preset,
             scale,
             seed,
-            overdrive: None,
+            calibrated: false,
         }
     }
 
-    /// A caller-provided benchmark.
-    #[must_use]
-    pub fn provided(bench: SyntheticBenchmark) -> Self {
-        Self::Provided(Box::new(bench))
-    }
-
     const HEADER: &'static str = "ppdl-art bench-source v1";
-
-    fn slot_from_bench(
-        ctx: &PipelineCtx,
-        bench: SyntheticBenchmark,
-        target: Option<f64>,
-        factor: f64,
-    ) -> crate::Result<BenchSlot> {
-        let vdd = bench
-            .network()
-            .supply_voltage()
-            .ok_or(CoreError::Analysis(ppdl_analysis::AnalysisError::NoSupply))?;
-        let margin_fraction = match target {
-            Some(t) => t / vdd,
-            None => ctx.config.conventional.ir_margin_fraction,
-        };
-        Ok(BenchSlot {
-            bench,
-            margin_fraction,
-            target_worst_ir: target.unwrap_or(margin_fraction * vdd),
-            calibration_factor: factor,
-        })
-    }
 }
 
 impl Stage for BenchmarkSourceStage {
@@ -230,37 +189,13 @@ impl Stage for BenchmarkSourceStage {
 
     fn cache_key(&self, _ctx: &PipelineCtx) -> Option<CacheKey> {
         let mut h = StableHasher::new("bench-source");
-        match self {
-            Self::Preset {
-                preset,
-                scale,
-                seed,
-                overdrive,
-            } => {
-                h.write_str("preset", preset.name());
-                h.write_f64("scale", *scale);
-                h.write_u64("seed", *seed);
-                match overdrive {
-                    Some(o) => h.write_f64("overdrive", *o),
-                    None => h.write_str("overdrive", "none"),
-                }
-            }
-            Self::Provided(bench) => {
-                h.write_str("source", "provided");
-                h.write_str("name", bench.name());
-                let stats = bench.network().stats();
-                h.write_u64("nodes", stats.nodes as u64);
-                h.write_u64("resistors", stats.resistors as u64);
-                h.write_f64("vdd", bench.network().supply_voltage().unwrap_or(f64::NAN));
-                h.write_f64_slice("widths", &bench.strap_widths());
-                let loads: Vec<f64> = bench
-                    .network()
-                    .current_loads()
-                    .iter()
-                    .map(|l| l.amps)
-                    .collect();
-                h.write_f64_slice("loads", &loads);
-            }
+        h.write_str("preset", self.preset.name());
+        h.write_f64("scale", self.scale);
+        h.write_u64("seed", self.seed);
+        if self.calibrated {
+            h.write_f64("overdrive", STANDARD_OVERDRIVE);
+        } else {
+            h.write_str("overdrive", "none");
         }
         Some(h.finish())
     }
@@ -272,23 +207,12 @@ impl Stage for BenchmarkSourceStage {
         let factor = r.tagged_f64("calibration_factor")?;
         let loads = r.vec("loads")?;
         r.expect_end()?;
-        let (bench, calibrated) = match self {
-            Self::Preset {
-                preset,
-                scale,
-                seed,
-                overdrive,
-            } => {
-                let mut bench = SyntheticBenchmark::from_preset(*preset, *scale, *seed)?;
-                if bench.network().current_loads().len() != loads.len() {
-                    return Err(decode_err("cached load vector does not match grid"));
-                }
-                bench.set_load_currents(&loads)?;
-                (bench, overdrive.is_some())
-            }
-            Self::Provided(bench) => (bench.as_ref().clone(), false),
-        };
-        if calibrated {
+        let mut bench = SyntheticBenchmark::from_preset(self.preset, self.scale, self.seed)?;
+        if bench.network().current_loads().len() != loads.len() {
+            return Err(decode_err("cached load vector does not match grid"));
+        }
+        bench.set_load_currents(&loads)?;
+        if self.calibrated {
             ctx.config.conventional.ir_margin_fraction = margin_fraction;
         }
         ctx.bench = Some(BenchSlot {
@@ -301,35 +225,31 @@ impl Stage for BenchmarkSourceStage {
     }
 
     fn execute(&self, ctx: &mut PipelineCtx) -> crate::Result<()> {
-        let slot = match self {
-            Self::Preset {
-                preset,
-                scale,
-                seed,
-                overdrive,
-            } => {
-                let mut bench = SyntheticBenchmark::from_preset(*preset, *scale, *seed)?;
-                let target = crate::experiment::target_worst_ir(*preset);
-                let factor = match overdrive {
-                    Some(overdrive) => {
-                        if !(*overdrive > 1.0 && overdrive.is_finite()) {
-                            return Err(CoreError::InvalidConfig {
-                                detail: format!("overdrive {overdrive} must exceed 1"),
-                            });
-                        }
-                        calibrate_to_worst_ir(&mut bench, overdrive * target)?
-                    }
-                    None => 1.0,
-                };
-                let slot = Self::slot_from_bench(ctx, bench, overdrive.map(|_| target), factor)?;
-                if overdrive.is_some() {
-                    ctx.config.conventional.ir_margin_fraction = slot.margin_fraction;
-                }
-                slot
-            }
-            Self::Provided(bench) => Self::slot_from_bench(ctx, bench.as_ref().clone(), None, 1.0)?,
+        let mut bench = SyntheticBenchmark::from_preset(self.preset, self.scale, self.seed)?;
+        let target = self
+            .calibrated
+            .then(|| crate::experiment::target_worst_ir(self.preset));
+        let factor = match target {
+            Some(t) => calibrate_to_worst_ir(&mut bench, STANDARD_OVERDRIVE * t)?,
+            None => 1.0,
         };
-        ctx.bench = Some(slot);
+        let vdd = bench
+            .network()
+            .supply_voltage()
+            .ok_or(CoreError::Analysis(ppdl_analysis::AnalysisError::NoSupply))?;
+        let margin_fraction = match target {
+            Some(t) => t / vdd,
+            None => ctx.config.conventional.ir_margin_fraction,
+        };
+        if self.calibrated {
+            ctx.config.conventional.ir_margin_fraction = margin_fraction;
+        }
+        ctx.bench = Some(BenchSlot {
+            bench,
+            margin_fraction,
+            target_worst_ir: target.unwrap_or(margin_fraction * vdd),
+            calibration_factor: factor,
+        });
         Ok(())
     }
 
@@ -585,38 +505,21 @@ impl Stage for TrainStage {
 /// is a cheap deterministic transform of the cached sized design);
 /// the cached artifact carries the predicted widths, the IR estimate,
 /// and the cold run's inference wall-time so Table IV survives caching.
-#[derive(Debug, Clone)]
-pub struct PredictStage {
-    perturbation: Option<Perturbation>,
-}
+///
+/// The perturbation is the context's [`DlFlowConfig`](crate::DlFlowConfig)
+/// point (`perturbation_gamma` / `perturbation_kind` / `seed`).
+#[derive(Debug, Clone, Copy)]
+pub struct PredictStage;
 
 impl PredictStage {
     const HEADER: &'static str = "ppdl-art predict v1";
 
-    /// Perturb according to the context's [`DlFlowConfig`](crate::DlFlowConfig)
-    /// (`perturbation_gamma` / `perturbation_kind` / `seed`).
-    #[must_use]
-    pub fn from_config() -> Self {
-        Self { perturbation: None }
-    }
-
-    /// Perturb with an explicit point (sweep usage).
-    #[must_use]
-    pub fn with_perturbation(perturbation: Perturbation) -> Self {
-        Self {
-            perturbation: Some(perturbation),
-        }
-    }
-
-    fn perturbation(&self, ctx: &PipelineCtx) -> crate::Result<Perturbation> {
-        match &self.perturbation {
-            Some(p) => Ok(*p),
-            None => Perturbation::new(
-                ctx.config.perturbation_gamma,
-                ctx.config.perturbation_kind,
-                ctx.config.seed,
-            ),
-        }
+    fn perturbation(ctx: &PipelineCtx) -> crate::Result<Perturbation> {
+        Perturbation::new(
+            ctx.config.perturbation_gamma,
+            ctx.config.perturbation_kind,
+            ctx.config.seed,
+        )
     }
 }
 
@@ -627,7 +530,7 @@ impl Stage for PredictStage {
 
     fn cache_key(&self, ctx: &PipelineCtx) -> Option<CacheKey> {
         let chain = ctx.chain?;
-        let p = self.perturbation(ctx).ok()?;
+        let p = Self::perturbation(ctx).ok()?;
         let mut h = StableHasher::new("predict");
         h.write_key("chain", chain);
         h.write_f64("gamma", p.gamma());
@@ -645,7 +548,7 @@ impl Stage for PredictStage {
         let node_drops = r.vec("node_drops")?;
         let segment_drops = r.vec("segment_drops")?;
         r.expect_end()?;
-        let test_bench = self.perturbation(ctx)?.apply(&ctx.sizing()?.sized)?;
+        let test_bench = Self::perturbation(ctx)?.apply(&ctx.sizing()?.sized)?;
         ctx.predicted = Some(PredictSlot {
             test_bench,
             predicted_widths,
@@ -664,7 +567,7 @@ impl Stage for PredictStage {
         // point, so the pipeline, the CLI, and the batched service all
         // answer queries through exactly the same code path.
         let request = crate::predict::PredictRequest::new("pipeline")
-            .with_perturbation(self.perturbation(ctx)?);
+            .with_perturbation(Self::perturbation(ctx)?);
         let prediction = crate::predict::predict(
             &ctx.trained()?.predictor,
             &ctx.sizing()?.sized,

@@ -23,7 +23,8 @@ use std::time::Instant;
 use ppdl_netlist::{IbmPgPreset, SyntheticBenchmark};
 
 use crate::pipeline::{
-    run_stage, ArtifactCache, FeatureExtractStage, PipelineCtx, StableHasher, TrainStage,
+    run_stage, ArtifactCache, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, StableHasher,
+    TrainStage,
 };
 use crate::{
     BackendKind, BackendModel, CoreError, DlFlowConfig, InputSpec, IrPredictor, Perturbation,
@@ -438,10 +439,7 @@ impl TrainedBundle {
         cache: Option<&ArtifactCache>,
     ) -> crate::Result<Self> {
         let mut ctx = PipelineCtx::new(config, cache);
-        run_stage(
-            &crate::experiment::preset_source(preset, scale, seed),
-            &mut ctx,
-        )?;
+        run_stage(&BenchmarkSourceStage::preset(preset, scale, seed), &mut ctx)?;
         run_stage(&FeatureExtractStage, &mut ctx)?;
         run_stage(&TrainStage, &mut ctx)?;
         let loads: Vec<f64> = ctx

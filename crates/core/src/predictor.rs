@@ -182,19 +182,21 @@ impl DirectionModel {
 /// # Example
 ///
 /// ```
-/// use ppdl_core::{experiment, ConventionalConfig, ConventionalFlow, PredictorConfig, WidthPredictor};
+/// use ppdl_core::pipeline::{run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx};
+/// use ppdl_core::{DlFlowConfig, PredictorConfig, WidthPredictor};
 /// use ppdl_netlist::IbmPgPreset;
 ///
-/// let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.006, 3, 2.5).unwrap();
-/// let (sized, golden) = ConventionalFlow::new(ConventionalConfig {
-///     ir_margin_fraction: prepared.margin_fraction,
-///     ..ConventionalConfig::default()
-/// })
-/// .run(&prepared.bench)
-/// .unwrap();
+/// // Generate, calibrate, and conventionally size a preset: the
+/// // pipeline's first two stages.
+/// let mut ctx = PipelineCtx::new(DlFlowConfig::default(), None);
+/// let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.006, 3);
+/// run_stage(&source, &mut ctx).unwrap();
+/// run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+/// let sizing = ctx.sizing().unwrap();
 /// let (predictor, _report) =
-///     WidthPredictor::train(&sized, &golden.widths, PredictorConfig::fast()).unwrap();
-/// let m = predictor.evaluate(&sized, &golden.widths).unwrap();
+///     WidthPredictor::train(&sizing.sized, &sizing.golden_widths, PredictorConfig::fast())
+///         .unwrap();
+/// let m = predictor.evaluate(&sizing.sized, &sizing.golden_widths).unwrap();
 /// assert!(m.r2 > 0.5, "r2 = {}", m.r2);
 /// ```
 #[derive(Debug, Clone)]
@@ -595,18 +597,16 @@ pub fn segment_dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConventionalFlow;
+    use crate::pipeline::{run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx};
     use ppdl_netlist::IbmPgPreset;
 
     fn sized() -> (SyntheticBenchmark, Vec<f64>) {
-        let prepared = crate::experiment::prepare(IbmPgPreset::Ibmpg2, 0.008, 11, 2.5).unwrap();
-        let (sized, res) = ConventionalFlow::new(crate::ConventionalConfig {
-            ir_margin_fraction: prepared.margin_fraction,
-            ..crate::ConventionalConfig::default()
-        })
-        .run(&prepared.bench)
-        .unwrap();
-        (sized, res.widths)
+        let mut ctx = PipelineCtx::new(crate::DlFlowConfig::default(), None);
+        let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.008, 11);
+        run_stage(&source, &mut ctx).unwrap();
+        run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+        let sizing = ctx.sizing.take().unwrap();
+        (sizing.sized, sizing.golden_widths)
     }
 
     #[test]

@@ -195,21 +195,23 @@ fn read_scaler<'a>(
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        experiment, ConventionalConfig, ConventionalFlow, PredictorConfig, WidthPredictor,
-    };
+    use crate::pipeline::{run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx};
+    use crate::{DlFlowConfig, PredictorConfig, WidthPredictor};
     use ppdl_netlist::IbmPgPreset;
 
     fn trained() -> (ppdl_netlist::SyntheticBenchmark, Vec<f64>, WidthPredictor) {
-        let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.005, 41, 2.5).unwrap();
-        let (sized, res) = ConventionalFlow::new(ConventionalConfig {
-            ir_margin_fraction: prepared.margin_fraction,
-            ..ConventionalConfig::default()
-        })
-        .run(&prepared.bench)
+        let mut ctx = PipelineCtx::new(DlFlowConfig::default(), None);
+        let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.005, 41);
+        run_stage(&source, &mut ctx).unwrap();
+        run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+        let sizing = ctx.sizing.take().unwrap();
+        let (p, _) = WidthPredictor::train(
+            &sizing.sized,
+            &sizing.golden_widths,
+            PredictorConfig::fast(),
+        )
         .unwrap();
-        let (p, _) = WidthPredictor::train(&sized, &res.widths, PredictorConfig::fast()).unwrap();
-        (sized, res.widths, p)
+        (sizing.sized, sizing.golden_widths, p)
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Pipeline engine integration tests: cache correctness, warm-run
-//! bitwise reproducibility, the sweep train-once guarantee, and
-//! corrupt-artifact fallback.
+//! bitwise reproducibility, key chaining, and corrupt-artifact
+//! fallback.
 
-use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage, PipelineCtx, Stage};
-use ppdl_core::{experiment, DlFlowConfig, DlOutcome};
+use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage, PipelineCtx, Stage, StageRecord};
+use ppdl_core::{DlFlowConfig, DlOutcome, PowerPlanningDl};
 use ppdl_netlist::IbmPgPreset;
+
+/// The fast flow on an ibmpg2 preset against `cache`.
+fn run(scale: f64, seed: u64, cache: &ArtifactCache) -> (DlOutcome, Vec<StageRecord>) {
+    let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, scale, seed);
+    PowerPlanningDl::new(DlFlowConfig::fast())
+        .run(source, Some(cache))
+        .unwrap()
+}
 
 /// A fresh, empty cache directory unique to one test.
 fn cache_dir(tag: &str) -> std::path::PathBuf {
@@ -47,8 +55,7 @@ fn assert_bitwise_equal(a: &DlOutcome, b: &DlOutcome) {
 #[test]
 fn warm_run_hits_every_stage_bitwise() {
     let cache = ArtifactCache::new(cache_dir("warm"));
-    let (cold, cold_records) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.006, 3, true, Some(&cache)).unwrap();
+    let (cold, cold_records) = run(0.006, 3, &cache);
     assert_eq!(cold_records.len(), 5);
     assert!(
         cold_records.iter().all(|r| !r.cache_hit),
@@ -56,8 +63,7 @@ fn warm_run_hits_every_stage_bitwise() {
     );
     assert_eq!(cache.stats().stores, 5, "every stage stores its artifact");
 
-    let (warm, warm_records) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.006, 3, true, Some(&cache)).unwrap();
+    let (warm, warm_records) = run(0.006, 3, &cache);
     assert_eq!(warm_records.len(), 5);
     for r in &warm_records {
         assert!(r.cache_hit, "stage '{}' missed on the warm run", r.name);
@@ -75,22 +81,16 @@ fn cache_keys_stable_and_sensitive_to_every_field() {
     let ctx = PipelineCtx::new(DlFlowConfig::fast(), None);
     let key = |s: &BenchmarkSourceStage| s.cache_key(&ctx).unwrap();
 
-    let base = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 7, 2.5);
+    let base = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 7);
     assert_eq!(
         key(&base),
-        key(&BenchmarkSourceStage::preset(
-            IbmPgPreset::Ibmpg2,
-            0.01,
-            7,
-            2.5
-        )),
+        key(&BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 7)),
         "identical config must map to an identical key"
     );
     for changed in [
-        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg1, 0.01, 7, 2.5),
-        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.011, 7, 2.5),
-        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 8, 2.5),
-        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 7, 2.4),
+        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg1, 0.01, 7),
+        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.011, 7),
+        BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.01, 8),
         BenchmarkSourceStage::uncalibrated(IbmPgPreset::Ibmpg2, 0.01, 7),
     ] {
         assert_ne!(
@@ -106,10 +106,8 @@ fn downstream_keys_chain_on_upstream_inputs() {
     // Changing only the *source* seed must change every downstream key,
     // even though the downstream stages' own configs are identical.
     let cache = ArtifactCache::new(cache_dir("chain"));
-    let (_, records_a) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.005, 2, true, Some(&cache)).unwrap();
-    let (_, records_b) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.005, 4, true, Some(&cache)).unwrap();
+    let (_, records_a) = run(0.005, 2, &cache);
+    let (_, records_b) = run(0.005, 4, &cache);
     for (a, b) in records_a.iter().zip(&records_b) {
         assert!(!b.cache_hit, "seed change must not hit stage '{}'", b.name);
         assert_ne!(a.key, b.key, "stage '{}' key did not chain", a.name);
@@ -120,16 +118,14 @@ fn downstream_keys_chain_on_upstream_inputs() {
 fn corrupt_artifacts_fall_back_to_recompute() {
     let dir = cache_dir("corrupt");
     let cache = ArtifactCache::new(&dir);
-    let (cold, _) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.005, 9, true, Some(&cache)).unwrap();
+    let (cold, _) = run(0.005, 9, &cache);
 
     for entry in std::fs::read_dir(&dir).unwrap() {
         std::fs::write(entry.unwrap().path(), "not an artifact\n").unwrap();
     }
 
     let cache2 = ArtifactCache::new(&dir);
-    let (recomputed, records) =
-        experiment::run_preset_cached(IbmPgPreset::Ibmpg2, 0.005, 9, true, Some(&cache2)).unwrap();
+    let (recomputed, records) = run(0.005, 9, &cache2);
     assert!(
         records.iter().all(|r| !r.cache_hit),
         "corrupt artifacts must not be served"

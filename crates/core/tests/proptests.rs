@@ -89,17 +89,16 @@ proptest! {
     /// The sampled strap-width prediction converges to the full one.
     #[test]
     fn sampled_prediction_close_to_full(seed in 0u64..6) {
-        use ppdl_core::{experiment, ConventionalConfig, ConventionalFlow, PredictorConfig, WidthPredictor};
-        let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.004, seed, 2.5).unwrap();
-        let (sized, res) = ConventionalFlow::new(ConventionalConfig {
-            ir_margin_fraction: prepared.margin_fraction,
-            ..ConventionalConfig::default()
-        })
-        .run(&prepared.bench)
-        .unwrap();
-        let (p, _) = WidthPredictor::train(&sized, &res.widths, PredictorConfig::fast()).unwrap();
-        let full = p.predict_strap_widths(&sized).unwrap();
-        let sampled = p.predict_strap_widths_sampled(&sized, 4).unwrap();
+        use ppdl_core::pipeline::{run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx};
+        use ppdl_core::{DlFlowConfig, PredictorConfig, WidthPredictor};
+        let mut ctx = PipelineCtx::new(DlFlowConfig::default(), None);
+        run_stage(&BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.004, seed), &mut ctx).unwrap();
+        run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+        let sizing = ctx.sizing().unwrap();
+        let (sized, golden) = (&sizing.sized, &sizing.golden_widths);
+        let (p, _) = WidthPredictor::train(sized, golden, PredictorConfig::fast()).unwrap();
+        let full = p.predict_strap_widths(sized).unwrap();
+        let sampled = p.predict_strap_widths_sampled(sized, 4).unwrap();
         for (f, s) in full.iter().zip(&sampled) {
             prop_assert!((f - s).abs() < 0.25 * f.max(0.1), "{f} vs {s}");
         }

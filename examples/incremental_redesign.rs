@@ -12,28 +12,33 @@
 
 use std::time::Instant;
 
+use powerplanningdl::core::pipeline::BenchmarkSourceStage;
 use powerplanningdl::core::{
-    experiment, ConventionalFlow, IrPredictor, Perturbation, PerturbationKind, WidthPredictor,
+    experiment, ConventionalConfig, ConventionalFlow, DlFlowConfig, IrPredictor, Perturbation,
+    PerturbationKind, PowerPlanningDl,
 };
 use powerplanningdl::netlist::IbmPgPreset;
 
 fn main() {
-    let scale = 0.01;
-    let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, scale, 11, 2.5).expect("benchmark");
-    // One config source for both flows, via the builder.
-    let config = experiment::flow_builder(&prepared, false).build();
-    let conventional = ConventionalFlow::new(config.conventional.clone());
-
+    let preset = IbmPgPreset::Ibmpg2;
     // One-time investment: sign off the base design, train the model.
-    let (sized, golden) = conventional.run(&prepared.bench).expect("base sizing");
     let t_train = Instant::now();
-    let (predictor, _) =
-        WidthPredictor::train(&sized, &golden.widths, config.predictor).expect("training");
+    let (base, _) = PowerPlanningDl::new(DlFlowConfig::default())
+        .run(BenchmarkSourceStage::preset(preset, 0.01, 11), None)
+        .expect("base flow");
+    let (signed_off, predictor) = (&base.sized_bench, &base.predictor);
     println!(
-        "trained on the signed-off design ({} interconnects) in {:.2} s",
-        sized.segments().len(),
+        "signed off and trained on the base design ({} interconnects) in {:.2} s",
+        signed_off.segments().len(),
         t_train.elapsed().as_secs_f64()
     );
+    // The conventional reference re-sizes each revision to the same
+    // Table III margin the base design was signed off at.
+    let vdd = signed_off.network().supply_voltage().expect("supply");
+    let conventional = ConventionalFlow::new(ConventionalConfig {
+        ir_margin_fraction: experiment::target_worst_ir(preset) / vdd,
+        ..ConventionalConfig::default()
+    });
 
     // A stream of ECO revisions: growing workload perturbations.
     println!(
@@ -45,7 +50,7 @@ fn main() {
     for (i, gamma) in [0.05, 0.10, 0.15, 0.20].into_iter().enumerate() {
         let eco = Perturbation::new(gamma, PerturbationKind::CurrentWorkloads, 100 + i as u64)
             .expect("gamma")
-            .apply(&prepared.bench)
+            .apply(signed_off)
             .expect("perturb");
 
         // PowerPlanningDL path: predict widths, predict IR drop.

@@ -13,16 +13,20 @@
 //!    the model predict the widths and the IR drop of the new design,
 //!    timing both approaches.
 
-use powerplanningdl::core::{experiment, PowerPlanningDl};
+use powerplanningdl::core::pipeline::BenchmarkSourceStage;
+use powerplanningdl::core::{experiment, DlFlowConfig, PowerPlanningDl};
 use powerplanningdl::netlist::IbmPgPreset;
 
 fn main() {
     // Scale 0.01 keeps this example under a few seconds; raise it (up
     // to 1.0 = the published benchmark size) for a realistic run.
     let scale = 0.01;
-    let prepared =
-        experiment::prepare(IbmPgPreset::Ibmpg2, scale, 7, 2.5).expect("benchmark generation");
-    let stats = prepared.bench.network().stats();
+    let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, scale, 7);
+    let (outcome, _stages) = PowerPlanningDl::new(DlFlowConfig::default())
+        .run(source, None)
+        .expect("flow");
+
+    let stats = outcome.sized_bench.network().stats();
     println!(
         "generated {}-style grid: {} nodes, {} resistors, {} sources, {} loads",
         IbmPgPreset::Ibmpg2,
@@ -31,16 +35,10 @@ fn main() {
         stats.sources,
         stats.loads
     );
-
-    let config = experiment::flow_config(&prepared, false);
-    let outcome = PowerPlanningDl::new(config)
-        .run(&prepared.bench)
-        .expect("flow");
-
     println!(
         "\nconventional sizing: {} design iterations to meet a {:.1} mV margin",
         outcome.conventional_iterations,
-        prepared.target_worst_ir * 1e3
+        experiment::target_worst_ir(IbmPgPreset::Ibmpg2) * 1e3
     );
     println!(
         "width prediction:    r2 = {:.3}, MSE = {:.4}, correlation = {:.3}",

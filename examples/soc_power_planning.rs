@@ -6,7 +6,9 @@
 //! Run with: `cargo run --release --example soc_power_planning`
 
 use powerplanningdl::analysis::{EmChecker, IrDropMap, StaticAnalysis};
-use powerplanningdl::core::{ConventionalConfig, ConventionalFlow, DlFlowConfig, WidthPredictor};
+use powerplanningdl::core::{
+    ConventionalConfig, ConventionalFlow, PredictorConfig, WidthPredictor,
+};
 use powerplanningdl::floorplan::{Floorplan, FunctionalBlock, PowerNet, PowerPad};
 use powerplanningdl::netlist::{GridSpec, SyntheticBenchmark};
 
@@ -56,14 +58,11 @@ fn main() {
     let bench = SyntheticBenchmark::generate("soc", spec, fp).expect("grid");
 
     // --- 3. Conventional sizing: meet 5% IR margin and EM ------------
-    let flow = DlFlowConfig::builder()
-        .conventional(ConventionalConfig {
-            ir_margin_fraction: 0.05,
-            jmax: 0.05,
-            ..ConventionalConfig::default()
-        })
-        .build();
-    let config = flow.conventional.clone();
+    let config = ConventionalConfig {
+        ir_margin_fraction: 0.05,
+        jmax: 0.05,
+        ..ConventionalConfig::default()
+    };
     let (sized, result) = ConventionalFlow::new(config.clone())
         .run(&bench)
         .expect("sizing");
@@ -93,8 +92,8 @@ fn main() {
     );
 
     // --- 4. Train the DL model on this design ------------------------
-    let (predictor, _) =
-        WidthPredictor::train(&sized, &result.widths, flow.predictor).expect("training");
+    let (predictor, _) = WidthPredictor::train(&sized, &result.widths, PredictorConfig::default())
+        .expect("training");
     let metrics = predictor.evaluate(&sized, &result.widths).expect("eval");
     println!(
         "\nDL width model: r2 = {:.3} on {} interconnects",

@@ -25,8 +25,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use powerplanningdl::analysis::{AnalysisOptions, IrDropMap, StaticAnalysis};
+use powerplanningdl::core::pipeline::BenchmarkSourceStage;
 use powerplanningdl::core::{
-    experiment, synthesize, PowerPlanningDl, SynthConfig, TrainedBundle, WidthPredictor,
+    synthesize, DlFlowConfig, PowerPlanningDl, SynthConfig, TrainedBundle,
 };
 use powerplanningdl::floorplan::SvgOptions;
 use powerplanningdl::netlist::{parse_spice, IbmPgPreset, Orientation, SyntheticBenchmark};
@@ -284,15 +285,16 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     let seed: u64 = flags.get_parse("seed", 7)?;
     let gamma: f64 = flags.get_parse("gamma", 0.10)?;
 
-    let prepared = experiment::prepare(preset, scale, seed, 2.5).map_err(|e| e.to_string())?;
-    let mut builder =
-        experiment::flow_builder(&prepared, flags.has("fast")).perturbation_gamma(gamma);
+    let mut builder = DlFlowConfig::builder().perturbation_gamma(gamma);
+    if flags.has("fast") {
+        builder = builder.fast();
+    }
     if let Some(kind) = precond_from(&flags)? {
         builder = builder.preconditioner(kind);
     }
     let config = builder.try_build().map_err(|e| e.to_string())?;
-    let outcome = PowerPlanningDl::new(config.clone())
-        .run(&prepared.bench)
+    let (outcome, _) = PowerPlanningDl::new(config)
+        .run(BenchmarkSourceStage::preset(preset, scale, seed), None)
         .map_err(|e| e.to_string())?;
 
     println!("benchmark:        {preset} at scale {scale} (seed {seed})");
@@ -320,15 +322,7 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     );
 
     if let Some(model_path) = flags.get("model") {
-        // Re-train on the sized design to obtain a persistable model
-        // (the flow's internal model is consumed by the run).
-        let (predictor, _) = WidthPredictor::train(
-            &outcome.sized_bench,
-            &outcome.golden_widths,
-            config.predictor,
-        )
-        .map_err(|e| e.to_string())?;
-        std::fs::write(model_path, predictor.to_text()).map_err(|e| e.to_string())?;
+        std::fs::write(model_path, outcome.predictor.to_text()).map_err(|e| e.to_string())?;
         println!("wrote trained model to {model_path}");
     }
     Ok(())

@@ -45,14 +45,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use powerplanningdl::core::{experiment, PowerPlanningDl};
+//! use powerplanningdl::core::pipeline::BenchmarkSourceStage;
+//! use powerplanningdl::core::{DlFlowConfig, PowerPlanningDl};
 //! use powerplanningdl::netlist::IbmPgPreset;
 //!
 //! // Build a small ibmpg2-like benchmark, calibrate it to the paper's
-//! // worst-case IR drop, and run the full train-then-predict flow.
-//! let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.006, 7, 2.5).unwrap();
-//! let config = experiment::flow_config(&prepared, true);
-//! let outcome = PowerPlanningDl::new(config).run(&prepared.bench).unwrap();
+//! // worst-case IR drop, and run the full train-then-predict flow
+//! // (no artifact cache).
+//! let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.006, 7);
+//! let (outcome, _stages) = PowerPlanningDl::new(DlFlowConfig::fast())
+//!     .run(source, None)
+//!     .unwrap();
 //! assert!(outcome.width_metrics.r2 > 0.4);
 //! assert!(outcome.timing.speedup > 0.0);
 //! ```

@@ -2,7 +2,10 @@
 //! on the same physics.
 
 use powerplanningdl::analysis::{AnalysisOptions, EmChecker, IrDropMap, StaticAnalysis};
-use powerplanningdl::core::{experiment, ConventionalConfig, ConventionalFlow, IrPredictor};
+use powerplanningdl::core::pipeline::{
+    run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx,
+};
+use powerplanningdl::core::{DlFlowConfig, IrPredictor};
 use powerplanningdl::netlist::{parse_spice, IbmPgPreset, NodeId, SyntheticBenchmark};
 use powerplanningdl::solver::{GaussSeidel, PrecondKind, StationaryOptions};
 
@@ -114,17 +117,16 @@ fn maps_agree_cellwise() {
 /// analysis result.
 #[test]
 fn sized_design_meets_margins_and_roundtrips() {
-    let prepared = experiment::prepare(IbmPgPreset::Ibmpg2, 0.006, 23, 2.5).unwrap();
-    let config = ConventionalConfig {
-        ir_margin_fraction: prepared.margin_fraction,
-        ..ConventionalConfig::default()
-    };
-    let (sized, result) = ConventionalFlow::new(config.clone())
-        .run(&prepared.bench)
-        .unwrap();
-    assert!(result.worst_ir <= prepared.target_worst_ir + 1e-9);
-    let em = EmChecker::new(config.jmax)
-        .check(&sized, &result.report)
+    let mut ctx = PipelineCtx::new(DlFlowConfig::default(), None);
+    let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.006, 23);
+    run_stage(&source, &mut ctx).unwrap();
+    run_stage(&FeatureExtractStage, &mut ctx).unwrap();
+    let sizing = ctx.sizing().unwrap();
+    let sized = &sizing.sized;
+    assert!(sizing.worst_ir <= ctx.bench().unwrap().target_worst_ir + 1e-9);
+    let report1 = StaticAnalysis::default().solve(sized.network()).unwrap();
+    let em = EmChecker::new(ctx.config.conventional.jmax)
+        .check(sized, &report1)
         .unwrap();
     assert!(em.passes());
 
@@ -133,7 +135,6 @@ fn sized_design_meets_margins_and_roundtrips() {
     let deck = sized.network().to_spice();
     let reparsed = parse_spice(&deck).unwrap();
     let report2 = StaticAnalysis::default().solve(&reparsed).unwrap();
-    let report1 = StaticAnalysis::default().solve(sized.network()).unwrap();
     assert!((report1.worst_drop().unwrap().1 - report2.worst_drop().unwrap().1).abs() < 1e-9);
 }
 

@@ -1,15 +1,15 @@
 //! End-to-end integration tests: the full PowerPlanningDL flow across
 //! the crate stack, exercised through the umbrella crate's public API.
 
-use powerplanningdl::core::{experiment, PowerPlanningDl};
+use powerplanningdl::core::pipeline::BenchmarkSourceStage;
+use powerplanningdl::core::{DlFlowConfig, DlOutcome, PowerPlanningDl};
 use powerplanningdl::netlist::IbmPgPreset;
 
-fn run(preset: IbmPgPreset, scale: f64, seed: u64) -> powerplanningdl::core::DlOutcome {
-    let prepared = experiment::prepare(preset, scale, seed, 2.5).expect("prepare");
-    let config = experiment::flow_config(&prepared, true);
-    PowerPlanningDl::new(config)
-        .run(&prepared.bench)
+fn run(preset: IbmPgPreset, scale: f64, seed: u64) -> DlOutcome {
+    PowerPlanningDl::new(DlFlowConfig::fast())
+        .run(BenchmarkSourceStage::preset(preset, scale, seed), None)
         .expect("flow")
+        .0
 }
 
 #[test]

@@ -10,9 +10,9 @@ use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 
 use powerplanningdl::core::pipeline::{
-    run_stage, FeatureExtractStage, PipelineCtx, PredictStage, TrainStage,
+    run_stage, BenchmarkSourceStage, FeatureExtractStage, PipelineCtx, PredictStage, TrainStage,
 };
-use powerplanningdl::core::{experiment, DlFlowConfig, TrainedBundle};
+use powerplanningdl::core::{DlFlowConfig, TrainedBundle};
 use powerplanningdl::netlist::IbmPgPreset;
 use powerplanningdl::service::Json;
 
@@ -72,10 +72,10 @@ fn served_batch_matches_pipeline_predict_stage() {
     // then the Predict stage at the config's default perturbation
     // (fast config: gamma 0.10, kind both, seed 1).
     let mut ctx = PipelineCtx::new(DlFlowConfig::fast(), None);
-    run_stage(&experiment::preset_source(PRESET, SCALE, SEED), &mut ctx).unwrap();
+    run_stage(&BenchmarkSourceStage::preset(PRESET, SCALE, SEED), &mut ctx).unwrap();
     run_stage(&FeatureExtractStage, &mut ctx).unwrap();
     run_stage(&TrainStage, &mut ctx).unwrap();
-    run_stage(&PredictStage::from_config(), &mut ctx).unwrap();
+    run_stage(&PredictStage, &mut ctx).unwrap();
     let predicted = ctx.predicted().unwrap();
 
     let replies = serve(
