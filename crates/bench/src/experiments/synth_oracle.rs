@@ -119,6 +119,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     manifest.add_metric("conventional_worst_ir_mv", conventional_worst * 1e3);
     manifest.add_metric("synth_full_solves", result.full_solves as f64);
     manifest.add_metric("synth_oracle_calls", result.oracle_calls as f64);
+    manifest.add_metric("synth_oracle_evals", result.oracle_evals as f64);
     manifest.add_metric("solve_reduction", solve_reduction);
     manifest.add_metric("worst_ir_gap_pct", gap_pct);
     manifest.add_metric("synth_worst_ir_mv", result.worst_ir_mv());
@@ -143,6 +144,11 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
             "oracle calls".into(),
             "-".into(),
             format!("{}", result.oracle_calls),
+        ],
+        vec![
+            "oracle evaluations".into(),
+            "-".into(),
+            format!("{}", result.oracle_evals),
         ],
         vec![
             "worst IR (mV)".into(),

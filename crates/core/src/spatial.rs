@@ -64,7 +64,7 @@ impl SpatialArch {
 pub struct RasterMaps {
     /// Raster side length `S`.
     pub map_size: usize,
-    /// Feature row, [`FEATURE_CHANNELS`]`·S²` wide: channel 0 is the
+    /// Feature row, `2·S²` wide (two channels): channel 0 is the
     /// switching-current density sampled at each cell centre, channel 1
     /// the summed `sheet_resistance · length` of the segments whose
     /// midpoint falls in the cell.
@@ -113,8 +113,8 @@ impl RasterMaps {
         })
     }
 
-    /// The target row for `bench`'s golden widths,
-    /// [`TARGET_CHANNELS`]`·S²` wide: per-cell mean golden width of the
+    /// The target row for `bench`'s golden widths, `2·S²` wide (two
+    /// channels): per-cell mean golden width of the
     /// vertical (channel 0) and horizontal (channel 1) segments whose
     /// midpoints fall in the cell; cells with no such segment take the
     /// orientation's global mean so the loss stays defined everywhere.
@@ -365,9 +365,9 @@ impl SpatialPredictor {
     }
 
     /// Checks the model against the raster geometry: the network must
-    /// map a [`FEATURE_CHANNELS`]`×S×S` input to a
-    /// [`TARGET_CHANNELS`]`·S²` output, and the channel scalers must
-    /// cover exactly the channel counts.
+    /// map a `2×S×S` input (current density, resistance) to a `2·S²`
+    /// output (vertical and horizontal widths), and the channel scalers
+    /// must cover exactly the channel counts.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 //! Predictor-in-the-loop PDN synthesis: greedy template selection plus
-//! simulated annealing, with the trained surrogate as the cost oracle.
+//! simulated annealing, with the Kirchhoff estimate as the cost oracle.
 //!
 //! The paper's economics (§V) make one full MNA solve the unit of
 //! account: the conventional flow pays one per widening iteration,
@@ -10,17 +10,26 @@
 //! score candidate templates, and escalate to a real solve only
 //! occasionally. This module is that recipe over this repo's pieces:
 //!
-//! * **Oracle** — [`predict`](crate::predict::predict) in width-override
-//!   mode ([`PredictRequest::with_widths`]): no grid solve, just the
-//!   Kirchhoff IR estimate of an explicit width vector, multiplied by a
-//!   running calibration factor anchored to real solves.
+//! * **Oracle** — the Kirchhoff IR estimate
+//!   ([`IrPredictor::predict`]) on the resident base design at a
+//!   template's widths, whose plan [`TrainedBundle::instantiate_base`]
+//!   has already built: no grid solve and no copy of the design. A
+//!   template's metal area comes from its width vector
+//!   ([`SyntheticBenchmark::metal_area_at`]). The raw drop is multiplied
+//!   by a running calibration factor anchored to real solves. Each run
+//!   keeps a memo from a template's levels to its raw score, so a
+//!   template the search revisits is estimated once:
+//!   [`SynthResult::oracle_calls`] counts the scorings the search asked
+//!   for (the budget unit) and [`SynthResult::oracle_evals`] the
+//!   estimates that ran.
 //! * **Search** — greedy initialisation from the model's own width
 //!   inference, then simulated annealing over per-region ladder levels.
-//!   Every random draw happens sequentially on the calling thread; a
-//!   whole batch of proposals is then scored in parallel with
+//!   Every random draw happens sequentially on the calling thread; the
+//!   batch's unseen templates are then scored in parallel with
 //!   [`par_map_vec`](ppdl_solver::parallel::par_map_vec), whose output
-//!   order is positional — so the optimizer is bitwise deterministic in
-//!   `(config, bundle)` at any thread count.
+//!   order is positional, and the memo is filled on the calling thread
+//!   — so the optimizer is bitwise deterministic in `(config, bundle)`
+//!   at any thread count.
 //! * **Verification** — a real [`StaticAnalysis`] MNA solve (with the
 //!   configured [`PrecondKind`]) every `verify_every` accepted
 //!   moves and at termination, recalibrating the oracle each time. A
@@ -33,6 +42,9 @@
 //!   `synth_oracle` experiment compares against the conventional
 //!   flow's iteration count.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
+
 use ppdl_analysis::{AnalysisOptions, StaticAnalysis};
 use ppdl_netlist::SyntheticBenchmark;
 use ppdl_solver::PrecondKind;
@@ -40,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::predict::{predict, PredictRequest, TrainedBundle};
-use crate::CoreError;
+use crate::{CoreError, IrPredictor};
 
 /// Histogram bounds for the per-round cumulative acceptance rate.
 const ACCEPT_BOUNDS: &[f64] = &[0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
@@ -209,8 +221,15 @@ pub struct SynthResult {
     pub ladder: Vec<f64>,
     /// Number of template regions.
     pub regions: usize,
-    /// Cheap oracle evaluations performed.
+    /// Oracle scorings the search asked for, the unit of
+    /// [`SynthConfig::budget`]: the initial width inference, the
+    /// golden anchor, and every template scoring, repeats included.
     pub oracle_calls: usize,
+    /// Kirchhoff estimates the oracle ran: the golden anchor and each
+    /// distinct template once. Apart from the initial width inference,
+    /// the other `oracle_calls − oracle_evals − 1` scorings were
+    /// answered from the run's memo.
+    pub oracle_evals: usize,
     /// Real MNA solves performed (escalations + final verify + repair).
     pub full_solves: usize,
     /// Annealing proposals scored.
@@ -286,50 +305,88 @@ fn expand(regions: &[Vec<usize>], ladder: &[f64], levels: &[usize], n_straps: us
     widths
 }
 
-/// One oracle evaluation: raw (uncalibrated) worst drop in volts plus
-/// the candidate's metal area.
-fn oracle_eval(
-    bundle: &TrainedBundle,
-    base: &SyntheticBenchmark,
-    widths: &[f64],
-) -> crate::Result<(f64, f64)> {
-    let request = PredictRequest::new("synth-oracle").with_widths(widths.to_vec());
-    let p = predict(
-        &bundle.predictor,
-        base,
-        &request,
-        bundle.meta.inference_stride,
-    )?;
-    ppdl_obs::counter_add("synth/oracle_calls", 1);
-    Ok((p.ir.worst, p.test_bench.total_metal_area()))
-}
+/// A template's raw oracle score: the uncalibrated worst drop in volts
+/// and the metal area in µm².
+type Score = (f64, f64);
 
-/// The immutable context of one synthesis run: the oracle bundle, the
-/// base design, and the template space it searches over.
-struct SearchSpace<'a> {
-    bundle: &'a TrainedBundle,
+/// The cost oracle of one synthesis run, with its ledger. A template is
+/// one ladder level per region; its score is the Kirchhoff estimate of
+/// the worst drop on the resident base at the template's widths, plus
+/// the metal area of those widths. The memo holds every score the run
+/// has estimated, so each distinct template is estimated once and a
+/// repeat gets the bits of the first estimate.
+struct Oracle<'a> {
     base: &'a SyntheticBenchmark,
     regions: &'a [Vec<usize>],
     ladder: &'a [f64],
-    n_straps: usize,
+    memo: BTreeMap<Vec<usize>, Score>,
+    /// Scorings asked for: the budget unit.
+    calls: usize,
+    /// Estimates that ran.
+    evals: usize,
+}
+
+impl Oracle<'_> {
+    /// The per-strap widths of a template.
+    fn widths(&self, levels: &[usize]) -> Vec<f64> {
+        expand(self.regions, self.ladder, levels, self.base.straps().len())
+    }
+
+    /// Books `calls` scorings, `evals` of which ran an estimate.
+    fn count(&mut self, calls: usize, evals: usize) {
+        self.calls += calls;
+        self.evals += evals;
+        ppdl_obs::counter_add("synth/oracle_calls", calls as u64);
+        ppdl_obs::counter_add("synth/oracle_evals", evals as u64);
+    }
+
+    /// One real estimate: the Kirchhoff worst drop on the base at
+    /// `widths`.
+    fn worst_drop(&self, widths: &[f64]) -> crate::Result<f64> {
+        let _span = ppdl_obs::span("synth/oracle");
+        Ok(IrPredictor::new().predict(self.base, widths)?.worst)
+    }
+
+    /// Scores `templates`, in order. The distinct templates the memo
+    /// lacks are estimated once each, fanned out over
+    /// [`par_map_vec`](ppdl_solver::parallel::par_map_vec), and
+    /// remembered on the calling thread; every other one is answered
+    /// from the memo.
+    fn score(&mut self, templates: &[Vec<usize>]) -> crate::Result<Vec<Score>> {
+        let unseen: Vec<&Vec<usize>> = templates
+            .iter()
+            .filter(|levels| !self.memo.contains_key(*levels))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        self.count(templates.len(), unseen.len());
+        let this = &*self;
+        let scored: Vec<crate::Result<Score>> =
+            // ppdl-lint: allow(determinism/tainted-parallel) -- over-approximated: method-name resolution takes worst_drop's IrPredictor::predict for TrainedBundle::predict -> predict -> Perturbation::apply (StdRng) and Instant::now (latency telemetry); the Kirchhoff estimate draws no random number and reads no clock, so every score is bitwise deterministic
+            ppdl_solver::parallel::par_map_vec(&unseen, |_, levels| {
+                let widths = this.widths(levels);
+                Ok((this.worst_drop(&widths)?, this.base.metal_area_at(&widths)?))
+            });
+        for (levels, score) in unseen.into_iter().zip(scored) {
+            self.memo.insert(levels.clone(), score?);
+        }
+        Ok(templates.iter().map(|levels| self.memo[levels]).collect())
+    }
 }
 
 /// Scores every movable single-region step (up when `up`, down
 /// otherwise) with the oracle and returns the candidate with the
 /// lowest raw worst drop as `(region, raw)`. Ties break toward the
-/// lowest region index; `None` when no region can move. Scoring fans
-/// out over [`par_map_vec`](ppdl_solver::parallel::par_map_vec), so
-/// the pick is deterministic at any thread count.
+/// lowest region index; `None` when no region can move.
 fn best_step(
-    space: &SearchSpace<'_>,
+    oracle: &mut Oracle<'_>,
     levels: &[usize],
     up: bool,
-    oracle_calls: &mut usize,
 ) -> crate::Result<Option<(usize, f64)>> {
     let movable: Vec<usize> = (0..levels.len())
         .filter(|&r| {
             if up {
-                levels[r] + 1 < space.ladder.len()
+                levels[r] + 1 < oracle.ladder.len()
             } else {
                 levels[r] > 0
             }
@@ -338,20 +395,19 @@ fn best_step(
     if movable.is_empty() {
         return Ok(None);
     }
-    let scored: Vec<crate::Result<(f64, f64)>> =
-        // ppdl-lint: allow(determinism/tainted-parallel) -- oracle_eval -> predict reaches Perturbation::apply (StdRng seeded per perturbation) and predict's clock read is telemetry under its own wall-clock allow; candidate scoring is bitwise deterministic
-        ppdl_solver::parallel::par_map_vec(&movable, |_, &r| {
+    let candidates: Vec<Vec<usize>> = movable
+        .iter()
+        .map(|&r| {
             let mut next = levels.to_vec();
             next[r] = if up { next[r] + 1 } else { next[r] - 1 };
-            let widths = expand(space.regions, space.ladder, &next, space.n_straps);
-            oracle_eval(space.bundle, space.base, &widths)
-        });
-    *oracle_calls += movable.len();
-    let evals: Vec<(f64, f64)> = scored.into_iter().collect::<crate::Result<_>>()?;
+            next
+        })
+        .collect();
+    let scores = oracle.score(&candidates)?;
     let mut best: Option<(usize, f64)> = None;
-    for (i, &(raw, _)) in evals.iter().enumerate() {
+    for (&r, &(raw, _)) in movable.iter().zip(&scores) {
         if best.map_or(true, |(_, b)| raw < b) {
-            best = Some((movable[i], raw));
+            best = Some((r, raw));
         }
     }
     Ok(best)
@@ -400,7 +456,6 @@ pub fn synthesize(
     config.validate()?;
     let _span = ppdl_obs::span("synth/run");
     let base = bundle.instantiate_base()?;
-    let n_straps = base.straps().len();
     let regions = base.strap_regions(config.regions_per_orientation);
     if regions.is_empty() {
         return Err(CoreError::InvalidConfig {
@@ -416,26 +471,31 @@ pub fn synthesize(
         .aim_worst_ir
         .map_or(config.aim_fraction * target, |a| a.min(target));
     let track = config.aim_worst_ir.is_some();
-    let golden_area = {
-        let mut b = base.clone();
-        b.set_strap_widths(&bundle.golden_widths)?;
-        b.total_metal_area()
-    };
+    // The base carries the golden widths.
+    let golden_area = base.total_metal_area();
 
-    let mut oracle_calls = 0usize;
+    let mut oracle = Oracle {
+        base: &base,
+        regions: &regions,
+        ladder: &ladder,
+        memo: BTreeMap::new(),
+        calls: 0,
+        evals: 0,
+    };
     let mut full_solves = 0usize;
 
     // --- Greedy initialisation -------------------------------------
     // One NN inference on the base design seeds the template: each
     // region takes the ladder level covering the mean predicted width
-    // of its straps.
+    // of its straps. It is booked as one oracle call, not as an
+    // estimate of the oracle.
     let inferred = predict(
         &bundle.predictor,
         &base,
         &PredictRequest::new("synth-init"),
         bundle.meta.inference_stride,
     )?;
-    oracle_calls += 1;
+    oracle.count(1, 0);
     let mut levels: Vec<usize> = regions
         .iter()
         .map(|region| {
@@ -452,15 +512,15 @@ pub fn synthesize(
     // The oracle is scaled so that at a known design it reproduces the
     // MNA answer exactly: scale = verified / predicted. The anchor is
     // free when the caller knows the golden design's verified drop.
-    let (golden_raw, _) = oracle_eval(bundle, &base, &bundle.golden_widths)?;
-    oracle_calls += 1;
+    // The golden widths are not a template, so their score is not
+    // remembered.
+    oracle.count(1, 1);
+    let golden_raw = oracle.worst_drop(&bundle.golden_widths)?;
     let mut calibration = match known_golden_worst_ir {
         Some(verified) if golden_raw > 0.0 && verified > 0.0 => verified / golden_raw,
         _ => {
-            let widths = expand(&regions, &ladder, &levels, n_straps);
-            let (raw, _) = oracle_eval(bundle, &base, &widths)?;
-            oracle_calls += 1;
-            let verified = full_solve(&base, &widths, config.precond)?;
+            let (raw, _) = oracle.score(slice::from_ref(&levels))?[0];
+            let verified = full_solve(&base, &oracle.widths(&levels), config.precond)?;
             full_solves += 1;
             if raw > 0.0 && verified > 0.0 {
                 verified / raw
@@ -477,9 +537,7 @@ pub fn synthesize(
         config.area_weight * (area / golden_area) + config.ir_penalty * ir_term
     };
 
-    let start_widths = expand(&regions, &ladder, &levels, n_straps);
-    let (mut current_raw, mut current_area) = oracle_eval(bundle, &base, &start_widths)?;
-    oracle_calls += 1;
+    let (mut current_raw, mut current_area) = oracle.score(slice::from_ref(&levels))?[0];
     let mut current_cost = cost_of(current_raw, current_area, calibration);
 
     // --- Simulated annealing ----------------------------------------
@@ -489,7 +547,7 @@ pub fn synthesize(
     let mut accepted = 0usize;
     let mut rounds = 0usize;
     let mut accepted_since_verify = 0usize;
-    while oracle_calls + config.batch <= config.budget {
+    while oracle.calls + config.batch <= config.budget {
         rounds += 1;
         // All randomness is drawn here, sequentially, before any
         // parallel work: the batch of (region, direction) moves and the
@@ -511,24 +569,15 @@ pub fn synthesize(
                 next
             })
             .collect();
-        // Deterministic fan-out: par_map_vec fills slot i with
-        // candidate i's score regardless of thread interleaving.
-        let scored: Vec<crate::Result<(f64, f64)>> =
-            // ppdl-lint: allow(determinism/tainted-parallel) -- oracle_eval -> predict reaches Perturbation::apply (StdRng seeded per perturbation) and predict's clock read is telemetry under its own wall-clock allow; candidate scoring is bitwise deterministic
-            ppdl_solver::parallel::par_map_vec(&candidates, |_, cand| {
-                let widths = expand(&regions, &ladder, cand, n_straps);
-                oracle_eval(bundle, &base, &widths)
-            });
-        oracle_calls += candidates.len();
+        let scores = oracle.score(&candidates)?;
         proposed += candidates.len();
         ppdl_obs::counter_add("synth/proposed", candidates.len() as u64);
 
         // Lowest cost wins; ties break toward the lowest slot index
         // (strict `<` against the running best).
-        let evals: Vec<(f64, f64)> = scored.into_iter().collect::<crate::Result<_>>()?;
         let mut best = 0usize;
         let mut best_cost = f64::INFINITY;
-        for (i, &(raw, area)) in evals.iter().enumerate() {
+        for (i, &(raw, area)) in scores.iter().enumerate() {
             let cost = cost_of(raw, area, calibration);
             if cost < best_cost {
                 best = i;
@@ -541,7 +590,7 @@ pub fn synthesize(
         let delta = best_cost - current_cost;
         if delta <= 0.0 || uniform < (-delta / temperature).exp() {
             levels.clone_from(&candidates[best]);
-            (current_raw, current_area) = evals[best];
+            (current_raw, current_area) = scores[best];
             current_cost = best_cost;
             accepted += 1;
             accepted_since_verify += 1;
@@ -558,8 +607,7 @@ pub fn synthesize(
         // `verify_every` accepted moves.
         if accepted_since_verify >= config.verify_every {
             accepted_since_verify = 0;
-            let widths = expand(&regions, &ladder, &levels, n_straps);
-            let verified = full_solve(&base, &widths, config.precond)?;
+            let verified = full_solve(&base, &oracle.widths(&levels), config.precond)?;
             full_solves += 1;
             if current_raw > 0.0 && verified > 0.0 {
                 calibration = verified / current_raw;
@@ -574,17 +622,10 @@ pub fn synthesize(
     // most effective region while the calibrated estimate misses the
     // aim, then take back any step the aim does not need. Every move
     // costs oracle calls only.
-    let space = SearchSpace {
-        bundle,
-        base: &base,
-        regions: &regions,
-        ladder: &ladder,
-        n_straps,
-    };
     let polish_cap = ladder.len();
     let mut polish = 0usize;
     while current_raw * calibration > aim && polish < polish_cap {
-        let Some((region, raw)) = best_step(&space, &levels, true, &mut oracle_calls)? else {
+        let Some((region, raw)) = best_step(&mut oracle, &levels, true)? else {
             break;
         };
         levels[region] += 1;
@@ -593,7 +634,7 @@ pub fn synthesize(
     }
     polish = 0;
     while polish < polish_cap {
-        let Some((region, raw)) = best_step(&space, &levels, false, &mut oracle_calls)? else {
+        let Some((region, raw)) = best_step(&mut oracle, &levels, false)? else {
             break;
         };
         if raw * calibration > aim {
@@ -603,8 +644,7 @@ pub fn synthesize(
         polish += 1;
     }
     // --- Final verification and bounded repair ----------------------
-    let mut widths = expand(&regions, &ladder, &levels, n_straps);
-    let mut worst_ir = full_solve(&base, &widths, config.precond)?;
+    let mut worst_ir = full_solve(&base, &oracle.widths(&levels), config.precond)?;
     full_solves += 1;
     let mut repair_rounds = 0usize;
     while worst_ir > target && repair_rounds < config.max_repair_rounds {
@@ -613,8 +653,7 @@ pub fn synthesize(
         // the smallest chain of single-region widenings whose
         // calibrated estimate clears the margin with a little slack,
         // and re-verify. Each round costs one full solve.
-        let (raw_here, _) = oracle_eval(bundle, &base, &widths)?;
-        oracle_calls += 1;
+        let (raw_here, _) = oracle.score(slice::from_ref(&levels))?[0];
         if raw_here > 0.0 && worst_ir > 0.0 {
             calibration = worst_ir / raw_here;
         }
@@ -622,7 +661,7 @@ pub fn synthesize(
         let mut est = worst_ir;
         let mut steps = 0usize;
         while est > repair_aim && steps < ladder.len() {
-            let Some((region, raw)) = best_step(&space, &levels, true, &mut oracle_calls)? else {
+            let Some((region, raw)) = best_step(&mut oracle, &levels, true)? else {
                 break;
             };
             levels[region] += 1;
@@ -634,23 +673,24 @@ pub fn synthesize(
             // no width left to give. `feasible` reports the miss.
             break;
         }
-        widths = expand(&regions, &ladder, &levels, n_straps);
-        worst_ir = full_solve(&base, &widths, config.precond)?;
+        worst_ir = full_solve(&base, &oracle.widths(&levels), config.precond)?;
         full_solves += 1;
         repair_rounds += 1;
     }
-    let (final_raw, metal_area) = oracle_eval(bundle, &base, &widths)?;
-    oracle_calls += 1;
+    let (final_raw, metal_area) = oracle.score(slice::from_ref(&levels))?[0];
     if final_raw > 0.0 && worst_ir > 0.0 {
         calibration = worst_ir / final_raw;
     }
 
+    let widths = oracle.widths(&levels);
+    let (oracle_calls, oracle_evals) = (oracle.calls, oracle.evals);
     Ok(SynthResult {
         widths,
         levels,
         ladder,
         regions: regions.len(),
         oracle_calls,
+        oracle_evals,
         full_solves,
         proposed,
         accepted,
@@ -738,6 +778,100 @@ mod tests {
         }
         assert_eq!(one.worst_ir.to_bits(), four.worst_ir.to_bits());
         assert_eq!(one.calibration.to_bits(), four.calibration.to_bits());
+    }
+
+    /// Every field of a result as bits: the widths, levels and ladder,
+    /// every float, every counter and the verdict.
+    fn digest(r: &SynthResult) -> u64 {
+        let mut h = crate::pipeline::StableHasher::new("synth-result");
+        h.write_f64_slice("widths", &r.widths);
+        h.write_u64("levels", r.levels.len() as u64);
+        for &l in &r.levels {
+            h.write_u64("level", l as u64);
+        }
+        h.write_f64_slice("ladder", &r.ladder);
+        for (tag, n) in [
+            ("regions", r.regions),
+            ("oracle_calls", r.oracle_calls),
+            ("full_solves", r.full_solves),
+            ("proposed", r.proposed),
+            ("accepted", r.accepted),
+            ("rounds", r.rounds),
+            ("repair_rounds", r.repair_rounds),
+        ] {
+            h.write_u64(tag, n as u64);
+        }
+        for (tag, v) in [
+            ("worst_ir", r.worst_ir),
+            ("oracle_worst_ir", r.oracle_worst_ir),
+            ("target_worst_ir", r.target_worst_ir),
+            ("metal_area", r.metal_area),
+            ("golden_metal_area", r.golden_metal_area),
+            ("calibration", r.calibration),
+        ] {
+            h.write_f64(tag, v);
+        }
+        h.write_u64("feasible", u64::from(r.feasible));
+        h.finish().value()
+    }
+
+    #[test]
+    fn synthesis_keeps_its_pinned_results() {
+        // Digests of the fast, default and anchored runs, recorded
+        // before the oracle was memoised: how the oracle is organised
+        // must not move a bit of what the search finds.
+        let bundle = fast_bundle();
+        let fast = synthesize(&bundle, &SynthConfig::fast(), None).unwrap();
+        assert_eq!(digest(&fast), 0x52a6_77c5_1ac0_fe4e);
+        let default = synthesize(&bundle, &SynthConfig::default(), None).unwrap();
+        assert_eq!(digest(&default), 0x5c48_25d4_4174_6084);
+        let anchored = synthesize(&bundle, &SynthConfig::fast(), Some(0.035)).unwrap();
+        assert_eq!(digest(&anchored), 0x61b1_df1e_d226_6d51);
+        // The estimates the memo leaves to run (not part of the digests,
+        // which predate the field).
+        assert_eq!(
+            [
+                fast.oracle_evals,
+                default.oracle_evals,
+                anchored.oracle_evals
+            ],
+            [287, 547, 191]
+        );
+    }
+
+    #[test]
+    fn the_oracle_estimates_each_distinct_template_once() {
+        let base = SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.005, 3).unwrap();
+        let regions = base.strap_regions(2);
+        let ladder = build_ladder(&base.strap_widths(), &SynthConfig::fast()).unwrap();
+        let mut oracle = Oracle {
+            base: &base,
+            regions: &regions,
+            ladder: &ladder,
+            memo: BTreeMap::new(),
+            calls: 0,
+            evals: 0,
+        };
+        let a = vec![3; regions.len()];
+        let mut b = a.clone();
+        b[0] = 5;
+        let first = oracle.score(&[a.clone(), b.clone(), a.clone()]).unwrap();
+        let second = oracle.score(&[b]).unwrap();
+        assert_eq!((oracle.calls, oracle.evals), (4, 2));
+        let bits = |(raw, area): Score| (raw.to_bits(), area.to_bits());
+        assert_eq!(bits(first[0]), bits(first[2]));
+        assert_eq!(bits(first[1]), bits(second[0]));
+        assert_ne!(bits(first[0]), bits(first[1]));
+        // A score is the estimate and the metal area of the design at
+        // the template's widths.
+        let widths = oracle.widths(&a);
+        let mut sized = base.clone();
+        sized.set_strap_widths(&widths).unwrap();
+        let estimate = IrPredictor::new().predict(&sized, &widths).unwrap();
+        assert_eq!(
+            bits(first[0]),
+            bits((estimate.worst, sized.total_metal_area()))
+        );
     }
 
     #[test]

@@ -563,10 +563,42 @@ impl SyntheticBenchmark {
     /// and Problem 1 trades against the reliability margins.
     #[must_use]
     pub fn total_metal_area(&self) -> f64 {
+        self.metal_area_by(|strap| self.straps[strap].width)
+    }
+
+    /// The metal area the grid would have at `widths` (one per strap),
+    /// without applying them: the sum
+    /// [`total_metal_area`](Self::total_metal_area) takes after
+    /// [`set_strap_widths`](Self::set_strap_widths)`(widths)`, in the
+    /// same segment order, so the two agree bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InfeasibleGrid`] on length mismatch.
+    pub fn metal_area_at(&self, widths: &[f64]) -> crate::Result<f64> {
+        self.check_width_count(widths)?;
+        Ok(self.metal_area_by(|strap| widths[strap]))
+    }
+
+    /// Σ width × length over the segments, in segment order.
+    fn metal_area_by(&self, width: impl Fn(usize) -> f64) -> f64 {
         self.segments
             .iter()
-            .map(|seg| self.straps[seg.strap].width * seg.length)
+            .map(|seg| width(seg.strap) * seg.length)
             .sum()
+    }
+
+    fn check_width_count(&self, widths: &[f64]) -> crate::Result<()> {
+        if widths.len() == self.straps.len() {
+            return Ok(());
+        }
+        Err(NetlistError::InfeasibleGrid {
+            detail: format!(
+                "{} widths provided for {} straps",
+                widths.len(),
+                self.straps.len()
+            ),
+        })
     }
 
     /// Applies a full width vector (one entry per strap) and re-derives
@@ -586,15 +618,7 @@ impl SyntheticBenchmark {
     /// [`NetlistError::InvalidElement`] for a derived resistance that is
     /// not finite (a tiny width overflows `ρ · ℓ / w`).
     pub fn set_strap_widths(&mut self, widths: &[f64]) -> crate::Result<()> {
-        if widths.len() != self.straps.len() {
-            return Err(NetlistError::InfeasibleGrid {
-                detail: format!(
-                    "{} widths provided for {} straps",
-                    widths.len(),
-                    self.straps.len()
-                ),
-            });
-        }
+        self.check_width_count(widths)?;
         if let Some((strap, w)) = widths
             .iter()
             .enumerate()
@@ -913,6 +937,21 @@ mod tests {
             .map(|s| s.length)
             .sum();
         assert!((after - before - (4.0 - 1.0) * strap_len).abs() < 1e-9);
+    }
+
+    #[test]
+    fn metal_area_at_matches_the_applied_widths_bitwise() {
+        let mut b = SyntheticBenchmark::generate("t", small_spec(), small_floorplan()).unwrap();
+        let w: Vec<f64> = (0..b.straps().len())
+            .map(|i| 0.7 + 0.13 * i as f64)
+            .collect();
+        let predicted = b.metal_area_at(&w).unwrap();
+        b.set_strap_widths(&w).unwrap();
+        assert_eq!(predicted.to_bits(), b.total_metal_area().to_bits());
+        assert!(matches!(
+            b.metal_area_at(&w[1..]),
+            Err(NetlistError::InfeasibleGrid { .. })
+        ));
     }
 
     #[test]

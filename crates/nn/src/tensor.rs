@@ -164,8 +164,8 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self · other`, computed by the register-tiled
-    /// kernel in [`crate::gemm`] (parallel over row blocks, bitwise
+    /// Matrix product `self · other`, computed by the crate's
+    /// register-tiled GEMM kernel (parallel over row blocks, bitwise
     /// deterministic across thread counts).
     ///
     /// # Errors

@@ -235,6 +235,9 @@ impl HistogramHandle {
     /// rank inside the winning bucket and clamped to the observed
     /// `[min, max]`. It is within the winning bucket's width of the
     /// exact sorted-sample quantile (the sample of rank `⌈q·count⌉`).
+    /// With [`latency_buckets_ms`], where each edge is √2 times the
+    /// one before, that width is at most (√2 − 1) ≈ 41% of the exact
+    /// value whenever the value lies between the first and last edges.
     /// `None` before the first sample.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
@@ -255,11 +258,12 @@ pub fn exponential_buckets(start: f64, factor: f64, n: usize) -> Vec<f64> {
     out
 }
 
-/// The default latency bucket edges in milliseconds: 0.25 ms to ~4 s,
-/// doubling each step.
+/// The default latency bucket edges in milliseconds: 0.25 ms to ~4.1 s,
+/// each edge √2 times the one before (29 edges), so no bucket between
+/// the first and last edges is wider than a factor of √2.
 #[must_use]
 pub fn latency_buckets_ms() -> Vec<f64> {
-    exponential_buckets(0.25, 2.0, 15)
+    exponential_buckets(0.25, std::f64::consts::SQRT_2, 29)
 }
 
 /// Wall-time accumulator for one span path.
@@ -597,8 +601,8 @@ mod tests {
         for _ in 0..100 {
             h.record(33.0);
         }
-        // Interpolating inside (32, 64] alone gives 48; the clamp to the
-        // observed range gives the only value ever recorded.
+        // Interpolating inside (32, 45.3] alone gives 45.3; the clamp to
+        // the observed range gives the only value ever recorded.
         assert_eq!(h.quantile(0.5), Some(33.0));
     }
 
@@ -618,6 +622,64 @@ mod tests {
             let width = bounds[i] - bounds[i - 1];
             let est = h.quantile(q).unwrap();
             assert!((est - exact).abs() <= width, "q {q}: {est} vs {exact}");
+        }
+    }
+
+    /// Seeded property test: over generated sample sets, every quantile
+    /// is within its winning bucket's width of the exact sample of rank
+    /// `⌈q·n⌉`, and within (√2 − 1) × that sample between the first and
+    /// last latency edges.
+    #[test]
+    fn quantiles_track_exact_sorted_samples() {
+        // splitmix64: a std-only seeded generator.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut uniform = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let bounds = latency_buckets_ms();
+        let (first, last) = (bounds[0], bounds[bounds.len() - 1]);
+        let quantiles = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
+        for set in 0..300 {
+            let n = 1 + (uniform() * 400.0) as usize;
+            // Log-uniform over 2⁻⁸..2¹⁴ ms, past both ends of the
+            // edges; every third set repeats a few values many times.
+            let mut samples: Vec<f64> =
+                (0..n).map(|_| 2f64.powf(-8.0 + 22.0 * uniform())).collect();
+            if set % 3 == 0 {
+                for i in 0..n {
+                    samples[i] = samples[i % 4];
+                }
+            }
+            let reg = Registry::new();
+            let h = reg.histogram("lat", &bounds);
+            for &v in &samples {
+                h.record(v);
+            }
+            samples.sort_by(f64::total_cmp);
+            let (min, max) = (samples[0], samples[n - 1]);
+            for q in quantiles {
+                let rank = ((q * n as f64).ceil() as usize).max(1);
+                let exact = samples[rank - 1];
+                let i = bounds.iter().position(|&b| exact <= b);
+                let lo = match i {
+                    Some(0) => min,
+                    Some(i) => bounds[i - 1],
+                    None => last,
+                };
+                let hi = i.map_or(max, |i| bounds[i]);
+                let err = (h.quantile(q).unwrap() - exact).abs();
+                let what = format!("set {set}, n {n}, q {q}: exact {exact}, error {err}");
+                assert!(err <= hi - lo, "{what} exceeds bucket ({lo}, {hi}]");
+                if exact > first && exact <= last {
+                    let bound = (std::f64::consts::SQRT_2 - 1.0) * exact;
+                    assert!(err <= bound * (1.0 + 1e-12), "{what} exceeds {bound}");
+                }
+            }
         }
     }
 
@@ -679,6 +741,8 @@ mod tests {
     #[test]
     fn exponential_bucket_shape() {
         assert_eq!(exponential_buckets(1.0, 2.0, 4), vec![1.0, 2.0, 4.0, 8.0]);
-        assert_eq!(latency_buckets_ms().len(), 15);
+        let latency = latency_buckets_ms();
+        assert_eq!(latency.len(), 29);
+        assert!((latency[28] - 4096.0).abs() < 1e-9);
     }
 }

@@ -252,11 +252,10 @@ impl CsrMatrix {
     /// is a single row's accumulation regardless of the split, so the
     /// result is bitwise identical at every thread count. Within a
     /// chunk the kernel dispatches on the cached row-nnz profile:
-    /// matrices whose widest row holds at most
-    /// [`SPMV_INTERLEAVE_MAX_ROW_NNZ`] entries (the grid-stencil
-    /// regime) take a 4-row interleaved kernel that overlaps four
-    /// independent accumulation chains; wider rows take the general
-    /// per-row loop. Both produce identical bits — each row is always
+    /// matrices whose widest row holds at most 16 entries (the
+    /// grid-stencil regime) take a 4-row interleaved kernel that
+    /// overlaps four independent accumulation chains; wider rows take
+    /// the general per-row loop. Both produce identical bits — each row is always
     /// one serial ascending-column accumulation.
     ///
     /// # Errors

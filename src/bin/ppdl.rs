@@ -409,8 +409,8 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         result.ladder.last().copied().unwrap_or(0.0)
     );
     println!(
-        "search:           {} proposed, {} accepted over {} rounds ({} oracle calls)",
-        result.proposed, result.accepted, result.rounds, result.oracle_calls
+        "search:           {} proposed, {} accepted over {} rounds ({} oracle calls, {} evaluated)",
+        result.proposed, result.accepted, result.rounds, result.oracle_calls, result.oracle_evals
     );
     println!(
         "verification:     {} full MNA solves, {} repair round(s)",
