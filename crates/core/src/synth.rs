@@ -51,7 +51,7 @@ use ppdl_solver::PrecondKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::predict::{predict, PredictRequest, TrainedBundle};
+use crate::predict::TrainedBundle;
 use crate::{CoreError, IrPredictor};
 
 /// Histogram bounds for the per-round cumulative acceptance rate.
@@ -225,10 +225,11 @@ pub struct SynthResult {
     /// [`SynthConfig::budget`]: the initial width inference, the
     /// golden anchor, and every template scoring, repeats included.
     pub oracle_calls: usize,
-    /// Kirchhoff estimates the oracle ran: the golden anchor and each
-    /// distinct template once. Apart from the initial width inference,
-    /// the other `oracle_calls − oracle_evals − 1` scorings were
-    /// answered from the run's memo.
+    /// Kirchhoff estimates the oracle ran: the golden anchor when a
+    /// verified golden drop is given, and each distinct template once.
+    /// The initial width inference is a call without an estimate, and
+    /// so is the golden anchor without a verified drop; every other
+    /// call beyond the estimates was answered from the run's memo.
     pub oracle_evals: usize,
     /// Real MNA solves performed (escalations + final verify + repair).
     pub full_solves: usize,
@@ -489,21 +490,14 @@ pub fn synthesize(
     // region takes the ladder level covering the mean predicted width
     // of its straps. It is booked as one oracle call, not as an
     // estimate of the oracle.
-    let inferred = predict(
-        &bundle.predictor,
-        &base,
-        &PredictRequest::new("synth-init"),
-        bundle.meta.inference_stride,
-    )?;
+    let inferred = bundle
+        .predictor
+        .predict_strap_widths_sampled(&base, bundle.meta.inference_stride)?;
     oracle.count(1, 0);
     let mut levels: Vec<usize> = regions
         .iter()
         .map(|region| {
-            let mean = region
-                .iter()
-                .map(|&s| inferred.response.widths[s])
-                .sum::<f64>()
-                / region.len() as f64;
+            let mean = region.iter().map(|&s| inferred[s]).sum::<f64>() / region.len() as f64;
             quantize_up(&ladder, mean)
         })
         .collect();
@@ -513,12 +507,23 @@ pub fn synthesize(
     // MNA answer exactly: scale = verified / predicted. The anchor is
     // free when the caller knows the golden design's verified drop.
     // The golden widths are not a template, so their score is not
-    // remembered.
-    oracle.count(1, 1);
-    let golden_raw = oracle.worst_drop(&bundle.golden_widths)?;
-    let mut calibration = match known_golden_worst_ir {
-        Some(verified) if golden_raw > 0.0 && verified > 0.0 => verified / golden_raw,
-        _ => {
+    // remembered. Without a verified drop the golden estimate would go
+    // unread, so it does not run, but the anchor is still booked as
+    // one call: `oracle_calls` is the budget unit.
+    let anchor = match known_golden_worst_ir {
+        Some(verified) => {
+            oracle.count(1, 1);
+            let golden_raw = oracle.worst_drop(&bundle.golden_widths)?;
+            (golden_raw > 0.0 && verified > 0.0).then(|| verified / golden_raw)
+        }
+        None => {
+            oracle.count(1, 0);
+            None
+        }
+    };
+    let mut calibration = match anchor {
+        Some(calibration) => calibration,
+        None => {
             let (raw, _) = oracle.score(slice::from_ref(&levels))?[0];
             let verified = full_solve(&base, &oracle.widths(&levels), config.precond)?;
             full_solves += 1;
@@ -828,14 +833,15 @@ mod tests {
         let anchored = synthesize(&bundle, &SynthConfig::fast(), Some(0.035)).unwrap();
         assert_eq!(digest(&anchored), 0x61b1_df1e_d226_6d51);
         // The estimates the memo leaves to run (not part of the digests,
-        // which predate the field).
+        // which predate the field). The two runs without a verified
+        // golden drop skip the golden estimate.
         assert_eq!(
             [
                 fast.oracle_evals,
                 default.oracle_evals,
                 anchored.oracle_evals
             ],
-            [287, 547, 191]
+            [286, 546, 191]
         );
     }
 

@@ -220,6 +220,7 @@ pub const HOT_PATHS: &[(&str, &str)] = &[
     ("nn/src/gemm.rs", "gemm_nt"),
     ("nn/src/gemm.rs", "gemm_tn"),
     ("nn/src/gemm.rs", "gemm_nt_bias_rows"),
+    ("nn/src/gemm.rs", "dense_forward"),
     ("core/src/pipeline/mod.rs", "run_stage"),
     ("service/src/lib.rs", "run_batch"),
     ("analysis/src/mna.rs", "solve"),

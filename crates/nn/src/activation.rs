@@ -26,6 +26,7 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation to a pre-activation value.
     #[must_use]
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Identity => x,

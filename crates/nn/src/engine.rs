@@ -6,10 +6,17 @@
 //! ascending chunk order. The decomposition depends only on the batch
 //! size — never on the thread count — so training and inference are
 //! bitwise deterministic at any `PPDL_THREADS` setting.
+//!
+//! Inference hands each run of consecutive dense layers (all eleven
+//! of the paper's MLP) to one `gemm::dense_forward` call, which takes
+//! every block of rows through the whole run while it is in cache;
+//! other layers run one at a time.
+
+use std::borrow::Cow;
 
 use ppdl_solver::parallel::par_map_vec;
 
-use crate::{Layer, Loss, Matrix, NnError, Optimizer};
+use crate::{DenseLayer, Layer, Loss, Matrix, NnError, Optimizer};
 
 /// Fixed row-chunk size for the data-parallel minibatch path.
 pub(crate) const PAR_ROW_CHUNK: usize = 256;
@@ -30,25 +37,41 @@ pub(crate) fn row_chunks(rows: usize) -> Vec<std::ops::Range<usize>> {
 /// Inference over `layers`, chunking large batches through the pure
 /// kernels (row-independent, so chunking is invisible in the output).
 pub(crate) fn predict(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
+    let _span = ppdl_obs::span("nn/forward");
     if x.rows() >= 2 * PAR_ROW_CHUNK {
         return predict_chunked(layers, x);
     }
-    let mut a = x.clone();
-    for layer in layers {
-        a = layer.forward_inference(&a)?;
+    forward(layers, x)
+}
+
+/// One batch through `layers` on the calling thread.
+fn forward(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
+    let mut a = Cow::Borrowed(x);
+    let mut rest = layers;
+    while let Some(first) = rest.first() {
+        let dense: Vec<&DenseLayer> = rest
+            .iter()
+            .map_while(|layer| match layer {
+                Layer::Dense(l) => Some(l),
+                _ => None,
+            })
+            .collect();
+        if dense.is_empty() {
+            a = Cow::Owned(first.forward_inference(&a)?);
+            rest = &rest[1..];
+        } else {
+            a = Cow::Owned(crate::gemm::dense_forward(&dense, &a)?);
+            rest = &rest[dense.len()..];
+        }
     }
-    Ok(a)
+    Ok(a.into_owned())
 }
 
 fn predict_chunked(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
     let chunks = row_chunks(x.rows());
     // ppdl-lint: allow(determinism/tainted-parallel) -- over-approximated edge: the untyped `act.apply(v)` in conv.rs resolves to Perturbation::apply by name; activation functions draw no RNG
-    let parts = par_map_vec(&chunks, |_, r| -> crate::Result<Matrix> {
-        let mut a = x.slice_rows(r.start, r.end);
-        for layer in layers {
-            a = layer.forward_inference(&a)?;
-        }
-        Ok(a)
+    let parts = par_map_vec(&chunks, |_, r| {
+        forward(layers, &x.slice_rows(r.start, r.end))
     });
     let mut out: Option<Matrix> = None;
     for (r, part) in chunks.iter().zip(parts) {

@@ -3,20 +3,22 @@
 //! This is the blessed home of every dense triple loop in `ppdl-nn`
 //! (the `perf/scalar-matmul` lint steers new code here). All three
 //! [`Matrix`](crate::Matrix) products route through this module, plus
-//! the bias-seeded variant the im2col convolution path uses.
+//! the bias-seeded variant the im2col convolution path uses and the
+//! one dense inference kernel, [`dense_forward`].
 //!
 //! # The fixed-order reduction contract
 //!
 //! Every kernel computes each output element as **one accumulator
-//! folded in ascending-`k` order** (except the documented
-//! [`unrolled_dot`] tail of `gemm_nt`, which keeps the historical
-//! 4-accumulator association). Register tiling only changes *which*
-//! elements are in flight simultaneously — never the association of any
-//! single element's sum — and the parallel split over row blocks is a
-//! pure partition of output rows. Both properties together make the
-//! results bitwise identical to the pre-tiling scalar loops (for finite
-//! inputs) and bitwise identical across thread counts, which the
-//! committed golden-model tests rely on.
+//! folded in ascending-`k` order**, with one exception: the `n % 4`
+//! tail columns of `gemm_nt` and of [`dense_forward`] keep the
+//! historical 4-accumulator association of [`unrolled_dot`]. Register
+//! tiling only changes *which* elements are in flight simultaneously —
+//! never the association of any single element's sum — and the
+//! parallel split over row blocks is a pure partition of output rows.
+//! Both properties together make the results bitwise identical to the
+//! pre-tiling scalar loops (for finite inputs) and bitwise identical
+//! across thread counts, which the committed golden-model tests rely
+//! on.
 //!
 //! Tiling scheme: `MR×NR = 4×8` register tiles over a B panel packed
 //! contiguously per `NR`-column strip (`gemm_nn` / `gemm_tn`), or
@@ -24,13 +26,36 @@
 //! are already contiguous along `k`). One A element is broadcast
 //! against an NR-wide B row per step, so the fixed-size inner loops
 //! autovectorize without any unsafe code.
+//!
+//! # Dense inference
+//!
+//! [`dense_forward`] runs a block of at most [`BLOCK`] rows through a
+//! whole stack of dense layers before it moves on, so the activations
+//! stay in L1 between layers. The block is stored feature-major
+//! (`k × ld`: feature `k` of row `r` at `k·ld + r`), so [`LANES`]
+//! neighbouring rows share SIMD registers and each weight is splatted
+//! against them; two buffers sized to the block take turns as a
+//! layer's input and output. Bias and activation are applied as each
+//! tile is stored, and every output element keeps the association
+//! `gemm_nt` gives it, so inference is bit-identical to
+//! `act(x·Wᵀ + b)` computed layer by layer through `gemm_nt`.
 
 use ppdl_solver::parallel::par_row_chunks_mut;
+
+use crate::{Activation, DenseLayer, Matrix, NnError};
 
 /// Rows per register tile.
 const MR: usize = 4;
 /// Columns per register tile (one 64-byte cache line of `f64`).
 const NR: usize = 8;
+/// Rows per register tile of [`dense_forward`]: the SIMD lanes one
+/// splatted weight multiplies. A tile of two neurons × 12 rows holds
+/// 12 two-lane accumulators, which leaves room for the two splats in
+/// the 16 vector registers of baseline x86-64.
+const LANES: usize = 12;
+/// Rows per block of [`dense_forward`]. Two feature-major buffers of a
+/// 24-wide layer at 96 rows take 36 KiB, about an L1 data cache.
+const BLOCK: usize = 96;
 
 /// Telemetry for one kernel call (no-op unless collection is on).
 fn record_gemm(kind: &'static str, m: usize, k: usize, n: usize) {
@@ -294,6 +319,159 @@ pub(crate) fn gemm_nt_bias_rows(
     }
 }
 
+/// Inference through a stack of consecutive dense layers:
+/// `act(x·Wᵀ + b)` for each layer in turn, on the `m × k` batch `x`.
+/// Each block of at most [`BLOCK`] rows is transposed into a
+/// feature-major buffer once, taken through every layer, and
+/// transposed out once. `nn/gemm/fmas` grows by `m·k·n` per layer.
+///
+/// Each output element is what `gemm_nt` followed by `act(v + b)`
+/// gives it: columns below `⌊n/4⌋·4` are one accumulator from `0.0`
+/// adding terms in ascending `k`; the tail columns use
+/// [`unrolled_dot`]'s association. Rows never mix, so the output does
+/// not depend on how the caller splits a batch.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] if a layer's input width differs
+/// from the width flowing into it.
+pub(crate) fn dense_forward(layers: &[&DenseLayer], x: &Matrix) -> crate::Result<Matrix> {
+    let (m, mut width) = x.shape();
+    let mut widest = width;
+    for (i, layer) in layers.iter().enumerate() {
+        if layer.input_dim() != width {
+            return Err(NnError::ShapeMismatch {
+                detail: format!(
+                    "dense layer {i} expects {} inputs, batch is {m}x{width}",
+                    layer.input_dim()
+                ),
+            });
+        }
+        width = layer.output_dim();
+        widest = widest.max(width);
+    }
+    let mut out = Matrix::zeros(m, width);
+    if m == 0 {
+        return Ok(out);
+    }
+    for layer in layers {
+        record_gemm("nn/gemm/dense", m, layer.input_dim(), layer.output_dim());
+    }
+    // A batch smaller than a block gets buffers sized to the batch.
+    let ld = m.min(BLOCK).next_multiple_of(LANES);
+    let mut cur = vec![0.0; widest * ld];
+    let mut next = vec![0.0; widest * ld];
+    let mut r0 = 0;
+    while r0 < m {
+        let rows = (m - r0).min(BLOCK);
+        for r in 0..rows {
+            for (kk, &v) in x.row(r0 + r).iter().enumerate() {
+                cur[kk * ld + r] = v;
+            }
+        }
+        let lanes = rows.next_multiple_of(LANES);
+        for layer in layers {
+            dense_layer(layer, ld, lanes, &cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        for r in 0..rows {
+            for (j, o) in out.row_mut(r0 + r).iter_mut().enumerate() {
+                *o = cur[j * ld + r];
+            }
+        }
+        r0 += rows;
+    }
+    Ok(out)
+}
+
+/// One layer of [`dense_forward`] on the first `lanes` rows of a
+/// feature-major block with leading dimension `ld`. The activation is
+/// chosen here, once, so the tile loop calls a closure the compiler
+/// can inline instead of matching per element.
+fn dense_layer(layer: &DenseLayer, ld: usize, lanes: usize, x: &[f64], out: &mut [f64]) {
+    match layer.activation() {
+        Activation::Relu => dense_tiles(layer, ld, lanes, x, out, |v| Activation::Relu.apply(v)),
+        Activation::Identity => {
+            dense_tiles(layer, ld, lanes, x, out, |v| Activation::Identity.apply(v));
+        }
+        act => dense_tiles(layer, ld, lanes, x, out, |v| act.apply(v)),
+    }
+}
+
+/// `out[j·ld + r] = act(Σₖ x[k·ld + r]·w[j·kdim + k] + b[j])` for rows
+/// `r < lanes` (a multiple of [`LANES`]), with `gemm_nt`'s association
+/// per element.
+fn dense_tiles<F: Fn(f64) -> f64>(
+    layer: &DenseLayer,
+    ld: usize,
+    lanes: usize,
+    x: &[f64],
+    out: &mut [f64],
+    act: F,
+) {
+    let w = layer.weights().as_slice();
+    let b = layer.bias();
+    let (kdim, n) = (layer.input_dim(), layer.output_dim());
+    let jmain = n / 4 * 4;
+    let mut j = 0;
+    while j < jmain {
+        // 2 neurons × LANES rows: each weight is splatted once per k
+        // and multiplies LANES rows; one serial ascending-k
+        // accumulator per element.
+        let w0 = &w[j * kdim..(j + 1) * kdim];
+        let w1 = &w[(j + 1) * kdim..(j + 2) * kdim];
+        let mut r = 0;
+        while r < lanes {
+            let mut acc = [[0.0_f64; LANES]; 2];
+            for kk in 0..kdim {
+                let xs = &x[kk * ld + r..kk * ld + r + LANES];
+                let (v0, v1) = (w0[kk], w1[kk]);
+                for t in 0..LANES {
+                    acc[0][t] += xs[t] * v0;
+                    acc[1][t] += xs[t] * v1;
+                }
+            }
+            for (q, acc_q) in acc.iter().enumerate() {
+                let bias = b[j + q];
+                let o = &mut out[(j + q) * ld + r..(j + q) * ld + r + LANES];
+                for t in 0..LANES {
+                    o[t] = act(acc_q[t] + bias);
+                }
+            }
+            r += LANES;
+        }
+        j += 2;
+    }
+    let chunks = kdim / 4 * 4;
+    for jj in jmain..n {
+        // unrolled_dot's association, one lane per row: four strided
+        // partial sums, a serial tail, then (s0 + s1) + (s2 + s3) + tail.
+        let wr = &w[jj * kdim..(jj + 1) * kdim];
+        let bias = b[jj];
+        let mut r = 0;
+        while r < lanes {
+            let add_term = |acc: &mut [f64; LANES], kk: usize| {
+                let xs = &x[kk * ld + r..kk * ld + r + LANES];
+                for t in 0..LANES {
+                    acc[t] += xs[t] * wr[kk];
+                }
+            };
+            let mut s = [[0.0_f64; LANES]; 4];
+            for (q, s_q) in s.iter_mut().enumerate() {
+                (q..chunks).step_by(4).for_each(|kk| add_term(s_q, kk));
+            }
+            let mut tail = [0.0_f64; LANES];
+            (chunks..kdim).for_each(|kk| add_term(&mut tail, kk));
+            let o = &mut out[jj * ld + r..jj * ld + r + LANES];
+            for t in 0..LANES {
+                let dot = (s[0][t] + s[1][t]) + (s[2][t] + s[3][t]) + tail[t];
+                o[t] = act(dot + bias);
+            }
+            r += LANES;
+        }
+    }
+}
+
 /// Dot product with four independent accumulators, breaking the serial
 /// addition dependency so the inference-critical `x · Wᵀ` tail columns
 /// vectorise. (Changes summation order, which is fine at f64 for the
@@ -322,6 +500,7 @@ pub(crate) fn unrolled_dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Layer, Network, TensorShape};
 
     fn fill(rows: usize, cols: usize, salt: u64) -> Vec<f64> {
         (0..rows * cols)
@@ -440,6 +619,119 @@ mod tests {
                 }
                 assert_eq!(out[i * n + j].to_bits(), acc.to_bits(), "({i},{j})");
             }
+        }
+    }
+
+    /// Test-only reference for dense inference: `gemm_nt`, then
+    /// `act(v + b)`, one layer at a time.
+    fn ref_dense(layers: &[&DenseLayer], x: &Matrix) -> Vec<f64> {
+        let (m, mut k) = x.shape();
+        let mut a = x.as_slice().to_vec();
+        for layer in layers {
+            let n = layer.output_dim();
+            let mut out = vec![0.0; m * n];
+            gemm_nt(m, k, n, &a, layer.weights().as_slice(), &mut out);
+            for row in out.chunks_mut(n) {
+                for (v, b) in row.iter_mut().zip(layer.bias()) {
+                    *v = layer.activation().apply(*v + b);
+                }
+            }
+            a = out;
+            k = n;
+        }
+        a
+    }
+
+    /// Dense layers of widths `dims`, all with `act`, with filled
+    /// weights and biases.
+    fn dense_stack(dims: &[usize], act: Activation) -> Vec<DenseLayer> {
+        dims.windows(2)
+            .enumerate()
+            .map(|(i, d)| {
+                let salt = 20 + 2 * i as u64;
+                let w = Matrix::from_vec(d[1], d[0], fill(d[1], d[0], salt)).unwrap();
+                DenseLayer::from_parameters(w, fill(1, d[1], salt + 1), act).unwrap()
+            })
+            .collect()
+    }
+
+    const ACTIVATIONS: [Activation; 5] = [
+        Activation::Identity,
+        Activation::Relu,
+        Activation::LeakyRelu(0.01),
+        Activation::Tanh,
+        Activation::Sigmoid,
+    ];
+
+    #[test]
+    fn dense_forward_is_bitwise_equal_to_layerwise_gemm_nt() {
+        let rows = [
+            1,
+            LANES - 1,
+            LANES,
+            LANES + 1,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            511,
+            512,
+            1000,
+        ];
+        // 26, 7 and 1 leave n % 4 tail columns; 24 has none.
+        for dims in [&[3, 26, 7, 1][..], &[3, 24, 24, 1]] {
+            for act in ACTIVATIONS {
+                let stack = dense_stack(dims, act);
+                let layers: Vec<&DenseLayer> = stack.iter().collect();
+                for m in rows {
+                    let x = Matrix::from_vec(m, dims[0], fill(m, dims[0], 9)).unwrap();
+                    let got = dense_forward(&layers, &x).unwrap();
+                    assert_eq!(got.shape(), (m, dims[dims.len() - 1]));
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&ref_dense(&layers, &x)),
+                        "{dims:?} {act:?} at {m} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_forward_rejects_a_broken_width_chain() {
+        let stack = dense_stack(&[3, 8, 2], Activation::Relu);
+        let x = Matrix::zeros(4, 3);
+        assert!(dense_forward(&[&stack[1]], &x).is_err());
+        assert!(dense_forward(&[&stack[1], &stack[0]], &Matrix::zeros(4, 8)).is_err());
+        assert_eq!(
+            dense_forward(&[&stack[0], &stack[1]], &Matrix::zeros(0, 3))
+                .unwrap()
+                .shape(),
+            (0, 2)
+        );
+    }
+
+    /// `Network::predict` takes batches of 512 rows and more through
+    /// the engine's parallel 256-row chunks: the bits must match the
+    /// reference at 1 and at 4 threads.
+    #[test]
+    fn dense_network_predict_is_bitwise_equal_at_one_and_four_threads() {
+        let stack = dense_stack(&[3, 26, 7, 1], Activation::Relu);
+        let layers: Vec<&DenseLayer> = stack.iter().collect();
+        let net = Network::from_parts(
+            TensorShape::Flat(3),
+            stack.iter().cloned().map(Layer::Dense).collect(),
+        )
+        .unwrap();
+        for m in [512, 1000] {
+            let x = Matrix::from_vec(m, 3, fill(m, 3, 15)).unwrap();
+            let expected = bits(&ref_dense(&layers, &x));
+            ppdl_solver::set_threads(1);
+            let one = net.predict(&x).unwrap();
+            ppdl_solver::set_threads(4);
+            let four = net.predict(&x).unwrap();
+            ppdl_solver::set_threads(0);
+            assert_eq!(bits(one.as_slice()), expected, "1 thread, {m} rows");
+            assert_eq!(bits(four.as_slice()), expected, "4 threads, {m} rows");
         }
     }
 

@@ -141,22 +141,18 @@ impl DenseLayer {
         Ok((pre, out))
     }
 
-    /// Inference-only forward pass (no caching). Bias addition and
-    /// activation are fused into the product buffer, so inference over
-    /// a large batch makes a single allocation per layer.
+    /// Inference-only forward pass (no caching) on the calling thread,
+    /// through the same dense kernel [`Network::predict`] runs, so its
+    /// output is bit-identical to what the layer produces inside a
+    /// network.
+    ///
+    /// [`Network::predict`]: crate::Network::predict
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if the batch width is wrong.
     pub fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
-        let mut pre = input.matmul_transpose(&self.weights)?;
-        let act = self.activation;
-        for r in 0..pre.rows() {
-            for (v, b) in pre.row_mut(r).iter_mut().zip(&self.bias) {
-                *v = act.apply(*v + b);
-            }
-        }
-        Ok(pre)
+        crate::gemm::dense_forward(&[self], input)
     }
 
     /// Backward pass: takes `∂L/∂output` and returns `∂L/∂input`,

@@ -173,8 +173,9 @@ impl Layer {
         }
     }
 
-    /// Inference-only forward pass for a batch (no caching) — one
-    /// step of [`Network::predict`]'s unchunked path.
+    /// Inference-only forward pass of this one layer for a batch (no
+    /// caching), on the calling thread, with the same bits as the
+    /// layer's step inside [`Network::predict`].
     ///
     /// # Errors
     ///
@@ -376,7 +377,10 @@ impl Network {
     /// chunks, in parallel when [`ppdl_solver::parallel`] is configured
     /// with more than one thread. Each row's output depends only on that
     /// row, so the result is bitwise identical to the sequential pass at
-    /// every thread count.
+    /// every thread count. Consecutive dense layers run as one fused
+    /// kernel that takes each block of rows through all of them, with
+    /// the same bits as running the layers one at a time. With
+    /// telemetry on, the call is an `nn/forward` span.
     ///
     /// # Errors
     ///

@@ -127,6 +127,7 @@ fn service_flush_populates_per_instance_registry_and_percentiles() {
     for phase in [
         "core/predict/apply",
         "core/predict/widths",
+        "core/predict/widths/nn/forward",
         "core/predict/kirchhoff/coarse",
         "core/predict/kirchhoff/sweeps",
         "core/kirchhoff-plan",
