@@ -1,20 +1,23 @@
 //! Kernel microbenches as a registered experiment: tiled GEMM against
 //! the scalar triple loop it replaced, the paper's MLP forward against
-//! the layer-by-layer pass it replaced, blocked SpMV throughput, and CG
+//! the layer-by-layer pass it replaced, blocked SpMV throughput, CG
 //! iterations and seconds per iterative preconditioner on a power-grid
-//! Laplacian.
+//! Laplacian, and the IC(0) solve's time at 2 threads over 1.
 //!
 //! It is the repository's one kernel benchmark. The numbers land in a
 //! [`RunManifest`](ppdl_core::pipeline::RunManifest) that `ppdl-bench
-//! baseline` diffs against a committed snapshot in CI; run it with
-//! `--threads 1` and `--threads N` to measure thread scaling.
+//! baseline` diffs against a committed snapshot in CI. GEMM, SpMV and
+//! CG run on the calling thread, so `--threads` moves only the MLP
+//! forward rows, whose batches split into 256-row chunks across
+//! threads. The CG thread ratio sets the count itself, in one process:
+//! a solve forks nothing, so 2 threads must not be slower than 1.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ppdl_core::pipeline::ArtifactCache;
 use ppdl_nn::{Activation, Layer, Matrix, MlpBuilder, Network};
-use ppdl_solver::parallel::par_map_vec;
+use ppdl_solver::parallel::{current_threads, par_map_vec, set_threads};
 use ppdl_solver::{CgOptions, ConjugateGradient, CsrMatrix, PrecondKind, TripletMatrix};
 
 use super::{manifest_for, DynError, RunOutput};
@@ -256,6 +259,36 @@ pub(super) fn run(opts: &Options, _cache: Option<&ArtifactCache>) -> Result<RunO
         "time (s)",
     ];
     let _ = writeln!(report, "{}", format_table(&cg_header, &cg_rows));
+
+    // --- IC(0) CG at 2 threads over 1 -------------------------------
+    // Rounds alternate which count goes first, so a slow stretch of
+    // the host hits both; the caller's count is restored afterwards.
+    let ic0 = ConjugateGradient::new(CgOptions {
+        tolerance: 1e-8,
+        precond: PrecondKind::Ic0,
+        ..CgOptions::default()
+    });
+    let prior = current_threads();
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..reps.max(5) {
+        for t in [round % 2, 1 - round % 2] {
+            set_threads(t + 1);
+            best[t] = best[t].min(time_best(1, || {
+                // ppdl-lint: allow(robustness/unwrap-in-lib) -- timed closure; the table above ran the same solve
+                let _ = ic0.solve(&a, &b_vec).expect("ic0 solve");
+            }));
+        }
+    }
+    set_threads(prior);
+    let ratio = best[1] / best[0];
+    manifest.add_metric("cg_ic0_s_threads1", best[0]);
+    manifest.add_metric("cg_ic0_s_threads2", best[1]);
+    manifest.add_metric("cg_threads2_over_threads1", ratio);
+    let _ = writeln!(
+        report,
+        "IC(0) CG: {:.4} s at 1 thread, {:.4} s at 2, ratio {ratio:.3}\n",
+        best[0], best[1]
+    );
 
     let header = ["metric", "value"];
     let rows: Vec<Vec<String>> = manifest

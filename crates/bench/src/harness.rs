@@ -189,8 +189,7 @@ impl Options {
         }
     }
 
-    /// Applies `--threads` to the worker pool (first call wins
-    /// process-wide, matching the pool's initialisation semantics).
+    /// Applies `--threads` through `set_threads` (process-wide).
     pub fn apply_threads(&self) {
         if let Some(t) = self.threads {
             ppdl_solver::parallel::set_threads(t);

@@ -326,8 +326,7 @@ mod tests {
     /// values, bit for bit) must not depend on the thread count.
     #[test]
     fn one_failing_point_is_isolated_to_its_slot() {
-        use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
-        use ppdl_solver::{set_par_threshold, set_threads};
+        use ppdl_solver::set_threads;
 
         let b = bench();
         let points: Vec<Perturbation> = [0.1, 0.2, 0.3, 0.4]
@@ -337,7 +336,6 @@ mod tests {
         let failing_gamma = points[2].gamma();
         let sweep = |threads: usize| {
             set_threads(threads);
-            set_par_threshold(1);
             let out = run_perturbation_sweep(&b, &points, |perturbed, p| {
                 if p.gamma() == failing_gamma {
                     Err(crate::CoreError::InvalidConfig {
@@ -348,7 +346,6 @@ mod tests {
                 }
             });
             set_threads(0);
-            set_par_threshold(DEFAULT_PAR_THRESHOLD);
             out
         };
 

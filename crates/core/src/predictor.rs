@@ -12,6 +12,7 @@ use ppdl_nn::{
     metrics, Activation, Dataset, Matrix, MlpBuilder, Network, StandardScaler, TrainConfig,
     TrainReport, Trainer,
 };
+use ppdl_solver::parallel::par_map_vec;
 
 use crate::{CoreError, FeatureExtractor, FeatureSet};
 
@@ -234,14 +235,25 @@ impl WidthPredictor {
                 detail: "benchmark must have segments in both directions".into(),
             });
         }
-        let (vertical, vrep) =
-            DirectionModel::train(&raw_x.gather_rows(&vi), &raw_y.gather_rows(&vi), &config, 0)?;
-        let (horizontal, hrep) = DirectionModel::train(
-            &raw_x.gather_rows(&hi),
-            &raw_y.gather_rows(&hi),
-            &config,
-            0x5eed,
-        )?;
+        // The two directions are independent work items.
+        // ppdl-lint: allow(determinism/tainted-parallel) -- each direction's trainer shuffles with its own StdRng, seeded from config.seed plus the direction's fixed offset, so neither depends on scheduling
+        let mut trained = par_map_vec(&[(&vi, 0), (&hi, 0x5eed)], |_, &(rows, seed_offset)| {
+            DirectionModel::train(
+                &raw_x.gather_rows(rows),
+                &raw_y.gather_rows(rows),
+                &config,
+                seed_offset,
+            )
+        })
+        .into_iter();
+        // One result per item; a typed error rather than a panic if that
+        // ever changes (robustness/unwrap-in-lib).
+        let (Some(v), Some(h)) = (trained.next(), trained.next()) else {
+            return Err(CoreError::InvalidConfig {
+                detail: "direction training returned fewer than two models".into(),
+            });
+        };
+        let ((vertical, vrep), (horizontal, hrep)) = (v?, h?);
         Ok((
             Self {
                 vertical,

@@ -716,8 +716,7 @@ mod tests {
     use super::*;
     use crate::DlFlowConfig;
     use ppdl_netlist::IbmPgPreset;
-    use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
-    use ppdl_solver::{set_par_threshold, set_threads};
+    use ppdl_solver::set_threads;
 
     fn fast_bundle() -> TrainedBundle {
         TrainedBundle::train(IbmPgPreset::Ibmpg2, 0.006, 7, DlFlowConfig::fast(), None).unwrap()
@@ -767,10 +766,8 @@ mod tests {
         let config = SynthConfig::fast();
         let run = |threads: usize| {
             set_threads(threads);
-            set_par_threshold(1);
             let out = synthesize(&bundle, &config, None).unwrap();
             set_threads(0);
-            set_par_threshold(DEFAULT_PAR_THRESHOLD);
             out
         };
         let one = run(1);

@@ -2,8 +2,8 @@
 //! must produce bitwise-identical results everywhere.
 //!
 //! The parallel layer promises that work decomposition depends only on
-//! problem size and that reductions fold fixed chunks in a fixed order
-//! (see `ppdl_solver::parallel`). These tests pin the promise end to
+//! problem size and that results come back, and are folded, in a fixed
+//! order (see `ppdl_solver::parallel`). These tests pin the promise end to
 //! end on the ibmpg2 preset: the static IR-drop solve and a full
 //! training run must not change by a single bit when the thread count
 //! changes. The tests drive the thread count through
@@ -17,22 +17,17 @@ use ppdl_core::{
 };
 use ppdl_netlist::{IbmPgPreset, SyntheticBenchmark};
 use ppdl_nn::{Activation, Adam, Layer, Loss, Matrix, MlpBuilder, Network};
-use ppdl_solver::parallel::DEFAULT_PAR_THRESHOLD;
-use ppdl_solver::{set_par_threshold, set_threads};
+use ppdl_solver::set_threads;
 
 fn ibmpg2() -> SyntheticBenchmark {
     SyntheticBenchmark::from_preset(IbmPgPreset::Ibmpg2, 0.01, 3).unwrap()
 }
 
-/// Runs `f` under `threads` threads with a tiny parallel threshold so
-/// even this test-sized grid takes the chunked code paths, restoring
-/// the global defaults afterwards.
+/// Runs `f` under `threads` threads, restoring the default afterwards.
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     set_threads(threads);
-    set_par_threshold(64);
     let out = f();
     set_threads(0);
-    set_par_threshold(DEFAULT_PAR_THRESHOLD);
     out
 }
 
@@ -122,8 +117,8 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// The fast IR estimate sums load currents per coarse cell and per node
-/// and runs a CG solve on the thread pool; every sum must keep its
-/// order at any thread count.
+/// and runs a CG solve; every sum must keep its order at any thread
+/// count.
 #[test]
 fn ir_prediction_is_bitwise_stable_across_thread_counts() {
     let bench = ibmpg2();

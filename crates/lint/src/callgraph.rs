@@ -376,12 +376,7 @@ const RNG_DRAWS: &[&str] = &[
 
 /// The `ppdl_solver::parallel` entry points whose closures must stay
 /// deterministic.
-pub const PAR_ENTRIES: &[&str] = &[
-    "par_map_vec",
-    "par_chunks_mut",
-    "par_row_chunks_mut",
-    "par_reduce",
-];
+pub const PAR_ENTRIES: &[&str] = &["par_map_vec"];
 
 /// Scans a token range for primitive taint sources. Returns
 /// (kind, line, short description) per kind found (first hit wins).

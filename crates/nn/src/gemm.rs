@@ -13,12 +13,13 @@
 //! tail columns of `gemm_nt` and of [`dense_forward`] keep the
 //! historical 4-accumulator association of [`unrolled_dot`]. Register
 //! tiling only changes *which* elements are in flight simultaneously —
-//! never the association of any single element's sum — and the
-//! parallel split over row blocks is a pure partition of output rows.
-//! Both properties together make the results bitwise identical to the
-//! pre-tiling scalar loops (for finite inputs) and bitwise identical
-//! across thread counts, which the committed golden-model tests rely
-//! on.
+//! never the association of any single element's sum — so the results
+//! are bitwise identical to the pre-tiling scalar loops (for finite
+//! inputs), which the committed golden-model tests rely on.
+//!
+//! Every kernel runs on the calling thread. Rows never mix, so the
+//! engine's parallel split of a batch into fixed row chunks (one level
+//! up) cannot change a bit either.
 //!
 //! Tiling scheme: `MR×NR = 4×8` register tiles over a B panel packed
 //! contiguously per `NR`-column strip (`gemm_nn` / `gemm_tn`), or
@@ -39,8 +40,6 @@
 //! tile is stored, and every output element keeps the association
 //! `gemm_nt` gives it, so inference is bit-identical to
 //! `act(x·Wᵀ + b)` computed layer by layer through `gemm_nt`.
-
-use ppdl_solver::parallel::par_row_chunks_mut;
 
 use crate::{Activation, DenseLayer, Matrix, NnError};
 
@@ -89,60 +88,57 @@ pub(crate) fn gemm_nn(m: usize, kdim: usize, n: usize, a: &[f64], b: &[f64], out
         return;
     }
     record_gemm("nn/gemm/nn", m, kdim, n);
-    par_row_chunks_mut(out, n, |i0, chunk| {
-        let rows = chunk.len() / n;
-        let mut panel = Vec::new();
-        let mut j = 0;
-        while j < n {
-            let jw = (n - j).min(NR);
-            pack_panel(b, n, kdim, j, jw, &mut panel);
-            let mut i = 0;
-            while i < rows {
-                let iw = (rows - i).min(MR);
-                if jw == NR {
-                    // Two 4-wide half-tiles, each swept over all of k
-                    // in turn: a 4×8 f64 accumulator block needs 16
-                    // vector registers and spills on baseline x86-64;
-                    // 4×4 fits. Each element still folds one serial
-                    // ascending-k accumulator.
-                    for half in 0..2 {
-                        let off = half * (NR / 2);
-                        let mut acc = [[0.0_f64; NR / 2]; MR];
-                        for kk in 0..kdim {
-                            let prow = &panel[kk * NR + off..kk * NR + off + NR / 2];
-                            for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
-                                let ar = a[(i0 + i + r) * kdim + kk];
-                                for t in 0..NR / 2 {
-                                    acc_r[t] += ar * prow[t];
-                                }
-                            }
-                        }
-                        for (r, acc_r) in acc.iter().enumerate().take(iw) {
-                            let base = (i + r) * n + j + off;
-                            chunk[base..base + NR / 2].copy_from_slice(acc_r);
-                        }
-                    }
-                } else {
-                    let mut acc = [[0.0_f64; NR]; MR];
+    let mut panel = Vec::new();
+    let mut j = 0;
+    while j < n {
+        let jw = (n - j).min(NR);
+        pack_panel(b, n, kdim, j, jw, &mut panel);
+        let mut i = 0;
+        while i < m {
+            let iw = (m - i).min(MR);
+            if jw == NR {
+                // Two 4-wide half-tiles, each swept over all of k
+                // in turn: a 4×8 f64 accumulator block needs 16
+                // vector registers and spills on baseline x86-64;
+                // 4×4 fits. Each element still folds one serial
+                // ascending-k accumulator.
+                for half in 0..2 {
+                    let off = half * (NR / 2);
+                    let mut acc = [[0.0_f64; NR / 2]; MR];
                     for kk in 0..kdim {
-                        let prow = &panel[kk * jw..kk * jw + jw];
+                        let prow = &panel[kk * NR + off..kk * NR + off + NR / 2];
                         for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
-                            let ar = a[(i0 + i + r) * kdim + kk];
-                            for t in 0..jw {
+                            let ar = a[(i + r) * kdim + kk];
+                            for t in 0..NR / 2 {
                                 acc_r[t] += ar * prow[t];
                             }
                         }
                     }
                     for (r, acc_r) in acc.iter().enumerate().take(iw) {
-                        let base = (i + r) * n + j;
-                        chunk[base..base + jw].copy_from_slice(&acc_r[..jw]);
+                        let base = (i + r) * n + j + off;
+                        out[base..base + NR / 2].copy_from_slice(acc_r);
                     }
                 }
-                i += iw;
+            } else {
+                let mut acc = [[0.0_f64; NR]; MR];
+                for kk in 0..kdim {
+                    let prow = &panel[kk * jw..kk * jw + jw];
+                    for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
+                        let ar = a[(i + r) * kdim + kk];
+                        for t in 0..jw {
+                            acc_r[t] += ar * prow[t];
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate().take(iw) {
+                    let base = (i + r) * n + j;
+                    out[base..base + jw].copy_from_slice(&acc_r[..jw]);
+                }
             }
-            j += jw;
+            i += iw;
         }
-    });
+        j += jw;
+    }
 }
 
 /// `out = A·Bᵀ` where `a` is `m×kdim` and `b` is `n×kdim`, both
@@ -159,46 +155,43 @@ pub(crate) fn gemm_nt(m: usize, kdim: usize, n: usize, a: &[f64], b: &[f64], out
     }
     record_gemm("nn/gemm/nt", m, kdim, n);
     let jmain = n / 4 * 4;
-    par_row_chunks_mut(out, n, |i0, chunk| {
-        let rows = chunk.len() / n;
-        let mut i = 0;
-        while i < rows {
-            let iw = (rows - i).min(MR);
-            let mut j = 0;
-            while j < jmain {
-                // iw×4 register tile: four B rows stream once and feed
-                // every A row in the tile.
-                let mut acc = [[0.0_f64; 4]; MR];
-                let b0 = &b[j * kdim..(j + 1) * kdim];
-                let b1 = &b[(j + 1) * kdim..(j + 2) * kdim];
-                let b2 = &b[(j + 2) * kdim..(j + 3) * kdim];
-                let b3 = &b[(j + 3) * kdim..(j + 4) * kdim];
-                for kk in 0..kdim {
-                    let (v0, v1, v2, v3) = (b0[kk], b1[kk], b2[kk], b3[kk]);
-                    for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
-                        let ar = a[(i0 + i + r) * kdim + kk];
-                        acc_r[0] += ar * v0;
-                        acc_r[1] += ar * v1;
-                        acc_r[2] += ar * v2;
-                        acc_r[3] += ar * v3;
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate().take(iw) {
-                    let base = (i + r) * n + j;
-                    chunk[base..base + 4].copy_from_slice(acc_r);
-                }
-                j += 4;
-            }
-            for jj in jmain..n {
-                let brow = &b[jj * kdim..(jj + 1) * kdim];
-                for r in 0..iw {
-                    let arow = &a[(i0 + i + r) * kdim..(i0 + i + r + 1) * kdim];
-                    chunk[(i + r) * n + jj] = unrolled_dot(arow, brow);
+    let mut i = 0;
+    while i < m {
+        let iw = (m - i).min(MR);
+        let mut j = 0;
+        while j < jmain {
+            // iw×4 register tile: four B rows stream once and feed
+            // every A row in the tile.
+            let mut acc = [[0.0_f64; 4]; MR];
+            let b0 = &b[j * kdim..(j + 1) * kdim];
+            let b1 = &b[(j + 1) * kdim..(j + 2) * kdim];
+            let b2 = &b[(j + 2) * kdim..(j + 3) * kdim];
+            let b3 = &b[(j + 3) * kdim..(j + 4) * kdim];
+            for kk in 0..kdim {
+                let (v0, v1, v2, v3) = (b0[kk], b1[kk], b2[kk], b3[kk]);
+                for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
+                    let ar = a[(i + r) * kdim + kk];
+                    acc_r[0] += ar * v0;
+                    acc_r[1] += ar * v1;
+                    acc_r[2] += ar * v2;
+                    acc_r[3] += ar * v3;
                 }
             }
-            i += iw;
+            for (r, acc_r) in acc.iter().enumerate().take(iw) {
+                let base = (i + r) * n + j;
+                out[base..base + 4].copy_from_slice(acc_r);
+            }
+            j += 4;
         }
-    });
+        for jj in jmain..n {
+            let brow = &b[jj * kdim..(jj + 1) * kdim];
+            for r in 0..iw {
+                let arow = &a[(i + r) * kdim..(i + r + 1) * kdim];
+                out[(i + r) * n + jj] = unrolled_dot(arow, brow);
+            }
+        }
+        i += iw;
+    }
 }
 
 /// `out = Aᵀ·B` where `a` is `kdim×m` and `b` is `kdim×n`, both
@@ -213,66 +206,62 @@ pub(crate) fn gemm_tn(m: usize, kdim: usize, n: usize, a: &[f64], b: &[f64], out
         return;
     }
     record_gemm("nn/gemm/tn", m, kdim, n);
-    par_row_chunks_mut(out, n, |i0, chunk| {
-        let rows = chunk.len() / n;
-        let mut panel = Vec::new();
-        let mut j = 0;
-        while j < n {
-            let jw = (n - j).min(NR);
-            pack_panel(b, n, kdim, j, jw, &mut panel);
-            let mut i = 0;
-            while i < rows {
-                let iw = (rows - i).min(MR);
-                if jw == NR {
-                    // Same two-half-tile split as gemm_nn: 4×4
-                    // accumulators fit the register file, 4×8 spills.
-                    // Per-element association is untouched.
-                    for half in 0..2 {
-                        let off = half * (NR / 2);
-                        let mut acc = [[0.0_f64; NR / 2]; MR];
-                        for kk in 0..kdim {
-                            let prow = &panel[kk * NR + off..kk * NR + off + NR / 2];
-                            for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
-                                let ar = a[kk * m + i0 + i + r];
-                                for t in 0..NR / 2 {
-                                    acc_r[t] += ar * prow[t];
-                                }
-                            }
-                        }
-                        for (r, acc_r) in acc.iter().enumerate().take(iw) {
-                            let base = (i + r) * n + j + off;
-                            chunk[base..base + NR / 2].copy_from_slice(acc_r);
-                        }
-                    }
-                } else {
-                    let mut acc = [[0.0_f64; NR]; MR];
+    let mut panel = Vec::new();
+    let mut j = 0;
+    while j < n {
+        let jw = (n - j).min(NR);
+        pack_panel(b, n, kdim, j, jw, &mut panel);
+        let mut i = 0;
+        while i < m {
+            let iw = (m - i).min(MR);
+            if jw == NR {
+                // Same two-half-tile split as gemm_nn: 4×4
+                // accumulators fit the register file, 4×8 spills.
+                // Per-element association is untouched.
+                for half in 0..2 {
+                    let off = half * (NR / 2);
+                    let mut acc = [[0.0_f64; NR / 2]; MR];
                     for kk in 0..kdim {
-                        let prow = &panel[kk * jw..kk * jw + jw];
+                        let prow = &panel[kk * NR + off..kk * NR + off + NR / 2];
                         for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
-                            let ar = a[kk * m + i0 + i + r];
-                            for t in 0..jw {
+                            let ar = a[kk * m + i + r];
+                            for t in 0..NR / 2 {
                                 acc_r[t] += ar * prow[t];
                             }
                         }
                     }
                     for (r, acc_r) in acc.iter().enumerate().take(iw) {
-                        let base = (i + r) * n + j;
-                        chunk[base..base + jw].copy_from_slice(&acc_r[..jw]);
+                        let base = (i + r) * n + j + off;
+                        out[base..base + NR / 2].copy_from_slice(acc_r);
                     }
                 }
-                i += iw;
+            } else {
+                let mut acc = [[0.0_f64; NR]; MR];
+                for kk in 0..kdim {
+                    let prow = &panel[kk * jw..kk * jw + jw];
+                    for (r, acc_r) in acc.iter_mut().enumerate().take(iw) {
+                        let ar = a[kk * m + i + r];
+                        for t in 0..jw {
+                            acc_r[t] += ar * prow[t];
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate().take(iw) {
+                    let base = (i + r) * n + j;
+                    out[base..base + jw].copy_from_slice(&acc_r[..jw]);
+                }
             }
-            j += jw;
+            i += iw;
         }
-    });
+        j += jw;
+    }
 }
 
 /// `out[i][j] = bias[i] + Σₖ a[i][k]·b[j][k]` with **every** element a
 /// serial ascending-`k` sum seeded from the bias — the association the
 /// direct convolution loop uses, so the im2col path reproduces it
 /// bitwise (padding contributes `+0.0` terms, which cannot change a
-/// finite accumulation). Sequential on purpose: the minibatch engine
-/// already parallelizes over the samples that call this.
+/// finite accumulation).
 pub(crate) fn gemm_nt_bias_rows(
     m: usize,
     kdim: usize,
@@ -742,13 +731,12 @@ mod tests {
         assert_eq!(out, vec![0.0; 6]);
     }
 
-    /// The tentpole determinism contract: tiled GEMM output is bitwise
-    /// identical at 1 and 4 threads on matrices large enough to take
-    /// the parallel row-block path (same shape as the conv determinism
+    /// The determinism contract: tiled GEMM output is bitwise
+    /// identical at 1 and 4 threads (same shape as the conv determinism
     /// tests).
     #[test]
     fn tiled_gemm_is_bitwise_deterministic_across_thread_counts() {
-        let (m, k, n) = (96, 48, 80); // out 96×80 = 7680 > par threshold
+        let (m, k, n) = (96, 48, 80);
         let a = fill(m, k, 11);
         let bn = fill(k, n, 12);
         let bt = fill(n, k, 13);

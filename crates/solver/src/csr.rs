@@ -247,16 +247,12 @@ impl CsrMatrix {
     /// Matrix–vector product writing into a preallocated output buffer.
     /// This is the allocation-free kernel the CG loop uses.
     ///
-    /// Rows are computed in parallel when the matrix is at least
-    /// [`crate::parallel::par_threshold`] rows tall; each output element
-    /// is a single row's accumulation regardless of the split, so the
-    /// result is bitwise identical at every thread count. Within a
-    /// chunk the kernel dispatches on the cached row-nnz profile:
-    /// matrices whose widest row holds at most 16 entries (the
-    /// grid-stencil regime) take a 4-row interleaved kernel that
-    /// overlaps four independent accumulation chains; wider rows take
-    /// the general per-row loop. Both produce identical bits — each row is always
-    /// one serial ascending-column accumulation.
+    /// Runs on the calling thread. The kernel dispatches on the cached
+    /// row-nnz profile: matrices whose widest row holds at most 16
+    /// entries (the grid-stencil regime) take a 4-row interleaved
+    /// kernel that overlaps four independent accumulation chains; wider
+    /// rows take the general per-row loop. Both produce identical bits —
+    /// each row is always one serial ascending-column accumulation.
     ///
     /// # Errors
     ///
@@ -279,13 +275,9 @@ impl CsrMatrix {
             elements.add(self.nnz() as u64);
         }
         if self.max_row_nnz <= SPMV_INTERLEAVE_MAX_ROW_NNZ {
-            crate::parallel::par_chunks_mut(y, |row0, out| {
-                self.spmv_rows_interleaved(x, row0, out);
-            });
+            self.spmv_rows_interleaved(x, y);
         } else {
-            crate::parallel::par_chunks_mut(y, |row0, out| {
-                self.spmv_rows_general(x, row0, out);
-            });
+            self.spmv_rows_general(x, 0, y);
         }
         Ok(())
     }
@@ -310,11 +302,11 @@ impl CsrMatrix {
     /// that dominates stencil-width rows. Each accumulator still adds
     /// its own row's entries in ascending column order, so every output
     /// element is bitwise identical to [`Self::spmv_rows_general`].
-    fn spmv_rows_interleaved(&self, x: &[f64], row0: usize, out: &mut [f64]) {
+    fn spmv_rows_interleaved(&self, x: &[f64], out: &mut [f64]) {
         let n = out.len();
         let mut i = 0;
         while i + 4 <= n {
-            let r = row0 + i;
+            let r = i;
             let (s0, e0) = (self.indptr[r], self.indptr[r + 1]);
             let (s1, e1) = (self.indptr[r + 1], self.indptr[r + 2]);
             let (s2, e2) = (self.indptr[r + 2], self.indptr[r + 3]);
@@ -347,8 +339,7 @@ impl CsrMatrix {
             i += 4;
         }
         // Remainder rows (< 4 left) take the general path.
-        let row0_tail = row0 + i;
-        self.spmv_rows_general(x, row0_tail, &mut out[i..]);
+        self.spmv_rows_general(x, i, &mut out[i..]);
     }
 
     /// Returns the transpose as a new CSR matrix.
@@ -611,7 +602,7 @@ mod tests {
             .map(|i| ((i * 13) % 17) as f64 * 0.3 - 1.1)
             .collect();
         let mut fast = vec![0.0; 103];
-        a.spmv_rows_interleaved(&x, 0, &mut fast);
+        a.spmv_rows_interleaved(&x, &mut fast);
         let mut reference = vec![0.0; 103];
         a.spmv_rows_general(&x, 0, &mut reference);
         for (f, r) in fast.iter().zip(&reference) {
@@ -627,9 +618,9 @@ mod tests {
 
     #[test]
     fn blocked_spmv_is_bitwise_deterministic_across_thread_counts() {
-        // Large enough (n > par threshold) that 4 threads actually
-        // split the rows; per-row serial accumulation must make the
-        // result bitwise identical to the single-thread run.
+        // The thread count must not reach the product: per-row serial
+        // accumulation makes the result bitwise identical to the
+        // single-thread run.
         let n = 5000usize;
         let mut t = TripletMatrix::new(n, n);
         for i in 0..n {

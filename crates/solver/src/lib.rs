@@ -20,10 +20,10 @@
 //!   sparse Cholesky factor.
 //! * [`vecops`] — the BLAS-1 style kernels (`dot`, `axpy`, norms) shared
 //!   by the iterative solvers.
-//! * [`parallel`] — the workspace-wide parallel execution layer: thread
-//!   count (`PPDL_THREADS`), sequential-fallback threshold, and the
-//!   deterministic chunked primitives the hot paths above (and the NN /
-//!   analysis crates) build on.
+//! * [`parallel`] — the workspace-wide parallel execution layer: the
+//!   thread count (`PPDL_THREADS`) and the one fork primitive,
+//!   `par_map_vec`, over independent work items. The kernels above are
+//!   sequential; parallelism lives in their callers.
 //!
 //! # Example
 //!
@@ -67,7 +67,7 @@ pub use cg::{CgOptions, CgSolution, ConjugateGradient};
 pub use csr::CsrMatrix;
 pub use dense::{DenseCholesky, DenseMatrix};
 pub use error::SolverError;
-pub use parallel::{parallel_config, set_par_threshold, set_threads, ParallelConfig};
+pub use parallel::set_threads;
 pub use precond::PrecondKind;
 pub use sparse_chol::SparseCholesky;
 pub use stationary::{GaussSeidel, StationaryOptions, StationarySolution};

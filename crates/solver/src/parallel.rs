@@ -1,65 +1,55 @@
-//! Workspace-wide parallel execution layer.
+//! Workspace-wide parallel execution layer: the thread count and one
+//! fork primitive.
 //!
-//! Every data-parallel hot path in the workspace — CSR SpMV and the
-//! BLAS-1 kernels here in `ppdl-solver`, minibatch forward/backward in
-//! `ppdl-nn`, per-scenario solves in `ppdl-analysis`, per-γ perturbation
-//! sweeps in `ppdl-core` — runs through the primitives in this module,
-//! so one configuration governs the whole stack:
+//! Parallelism runs at one level. [`par_map_vec`] maps a slice of
+//! independent, coarse work items across scoped threads; the items are
+//! the requests of a service batch, synthesis templates, γ scenarios,
+//! the width predictor's two direction models and the NN engine's
+//! fixed 256-row chunks. A `par_map_vec` called on
+//! one of its own workers runs inline, so a batch request's NN forward
+//! (say) never forks a second time. The element-level kernels — CSR
+//! SpMV and the BLAS-1 kernels in `ppdl-solver`, GEMM in `ppdl-nn` —
+//! are sequential loops: a CG solve runs hundreds of them, and a
+//! thread spawn per call costs more than a whole kernel at the sizes
+//! the workloads run.
 //!
-//! * **Thread count** — `PPDL_THREADS` env override (sampled once, at
-//!   the first kernel use — see [`current_threads`]), else the hardware
-//!   parallelism; [`set_threads`] overrides at runtime (`0` resets).
-//! * **Threshold** — inputs smaller than [`par_threshold`] elements stay
-//!   on the sequential code path, so small grids pay no thread-spawn
-//!   overhead ([`set_par_threshold`] tunes it).
+//! The thread count comes from the `PPDL_THREADS` env override
+//! (sampled once, at the first fork — see [`current_threads`]), else
+//! the hardware parallelism; [`set_threads`] overrides at runtime (`0`
+//! resets). A call runs on at most `min(threads, items)` threads, the
+//! caller's included.
 //!
 //! # Determinism guarantee
 //!
-//! Results are **bit-stable across thread counts**. The rules that make
-//! this hold, which every caller must preserve:
-//!
-//! 1. Work decomposition depends only on the input *size* (fixed
-//!    [`REDUCTION_CHUNK`]-element chunks, or per-element independence),
-//!    never on the thread count.
-//! 2. Reductions compute one partial per fixed chunk and fold them on
-//!    the calling thread in ascending chunk order ([`par_reduce`]).
-//! 3. Element-wise kernels write disjoint output ranges whose values do
-//!    not depend on the split ([`par_chunks_mut`], [`par_map_vec`]).
-//!
-//! Thread counts therefore change only *where* chunks execute, never
-//! what is computed — `PPDL_THREADS=1` and `PPDL_THREADS=64` produce
-//! bitwise-identical solver output and identical trained-model weights.
+//! Results are **bit-stable across thread counts**: each item is
+//! computed by the same code whichever thread runs it, and results come
+//! back in item order, so a caller that folds them does so in a fixed
+//! order. Thread counts therefore change only *where* items execute,
+//! never what is computed — `PPDL_THREADS=1` and `PPDL_THREADS=64`
+//! produce bitwise-identical solver output and identical trained-model
+//! weights.
 //!
 //! The engine is hand-rolled on [`std::thread::scope`] rather than a
 //! `rayon` pool because the build environment vendors no external
-//! crates; the public surface is pool-agnostic so a later PR can swap
-//! the engine without touching callers.
+//! crates.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
-/// Default sequential-fallback threshold, in elements (rows for SpMV).
-///
-/// Below this size the cost of spawning scoped threads dominates the
-/// kernel itself; the value is conservative so the ibmpg1-scale grids
-/// keep their single-threaded performance profile.
-pub const DEFAULT_PAR_THRESHOLD: usize = 4096;
-
-/// Fixed reduction chunk size, in elements.
-///
-/// Chunk boundaries are a function of input length only — **never** of
-/// the thread count — which is what makes chunked reductions bit-stable
-/// across `PPDL_THREADS` settings.
-pub const REDUCTION_CHUNK: usize = 4096;
-
 /// Sentinel meaning "no runtime override installed".
 const UNSET: usize = usize::MAX;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(UNSET);
-static THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+
+thread_local! {
+    /// Set on [`par_map_vec`]'s workers, so a call made on one runs
+    /// inline instead of forking again.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 fn hardware_threads() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -75,7 +65,7 @@ fn env_or_hardware_threads() -> usize {
     })
 }
 
-/// The number of worker threads parallel kernels may use.
+/// The number of worker threads [`par_map_vec`] may use.
 ///
 /// Resolution order: [`set_threads`] override → `PPDL_THREADS` env
 /// variable (read once, first use) → hardware parallelism.
@@ -83,18 +73,18 @@ fn env_or_hardware_threads() -> usize {
 /// # Read-once semantics
 ///
 /// `PPDL_THREADS` is sampled into a `OnceLock` the **first** time this
-/// function runs (every kernel entry point calls it), and that sample
-/// is final: mutating the env var afterwards — from a test, or from
-/// code that runs after the first solve — is silently ignored. Two
+/// function runs (every [`par_map_vec`] call does), and that sample is
+/// final: mutating the env var afterwards — from a test, or from code
+/// that runs after the first fork — is silently ignored. Two
 /// consequences for callers:
 ///
 /// * Set `PPDL_THREADS` in the *environment of the process*, before
-///   any kernel executes, never via `std::env::set_var` mid-run.
+///   any parallel work executes, never via `std::env::set_var` mid-run.
 /// * Anything that wants to change the count at runtime must go
 ///   through [`set_threads`], which always wins over the cached env
 ///   value. The `ppdl` CLI and `ppdl-bench` both route their
-///   `--threads` flags through [`set_threads`] before the first kernel
-///   use for exactly this reason.
+///   `--threads` flags through [`set_threads`] before the first fork
+///   for exactly this reason.
 #[must_use]
 pub fn current_threads() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
@@ -106,49 +96,15 @@ pub fn current_threads() -> usize {
 /// Overrides the worker-thread count at runtime; `0` removes the
 /// override, restoring the `PPDL_THREADS`/hardware default.
 ///
-/// Takes effect for subsequent kernel invocations process-wide (the
+/// Takes effect for subsequent [`par_map_vec`] calls process-wide (the
 /// determinism guarantee means results do not change, only speed).
 pub fn set_threads(threads: usize) {
     let v = if threads == 0 { UNSET } else { threads };
     THREAD_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// The sequential-fallback threshold in elements: inputs smaller than
-/// this run on the calling thread.
-#[must_use]
-pub fn par_threshold() -> usize {
-    THRESHOLD.load(Ordering::Relaxed)
-}
-
-/// Tunes the sequential-fallback threshold (process-wide).
-///
-/// Note that [`par_reduce`] ties its *decomposition* to
-/// [`REDUCTION_CHUNK`], not to this threshold, so changing the
-/// threshold never changes reduction results — only which sizes bother
-/// spawning threads.
-pub fn set_par_threshold(threshold: usize) {
-    THRESHOLD.store(threshold, Ordering::Relaxed);
-}
-
-/// Snapshot of the effective parallel configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads kernels may use (see [`current_threads`]).
-    pub threads: usize,
-    /// Sequential-fallback threshold in elements.
-    pub threshold: usize,
-}
-
-/// Reads the effective configuration.
-#[must_use]
-pub fn parallel_config() -> ParallelConfig {
-    ParallelConfig {
-        threads: current_threads(),
-        threshold: par_threshold(),
-    }
-}
-
-/// Splits `0..len` into `parts` near-equal contiguous ranges.
+/// Splits `0..len` into `parts` near-equal contiguous ranges (never
+/// more ranges than elements).
 fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, len.max(1));
     let base = len / parts;
@@ -163,144 +119,13 @@ fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `f(offset, chunk)` over disjoint contiguous chunks of `out`,
-/// in parallel when `out` is at least [`par_threshold`] elements and
-/// more than one worker thread is configured; otherwise `f(0, out)`
-/// runs on the calling thread.
-///
-/// Determinism: callers must compute each element identically however
-/// the slice is split (true for element-wise kernels and for row-wise
-/// SpMV, where each output element depends only on shared inputs).
-pub fn par_chunks_mut<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let threads = current_threads();
-    if threads <= 1 || out.len() < par_threshold() {
-        f(0, out);
-        return;
-    }
-    let ranges = split_ranges(out.len(), threads);
-    thread::scope(|scope| {
-        let mut rest = out;
-        let mut consumed = 0;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let offset = consumed;
-            consumed += chunk.len();
-            let f = &f;
-            scope.spawn(move || f(offset, chunk));
-        }
-    });
-}
-
-/// Row-aligned variant of [`par_chunks_mut`]: runs `f(row0, chunk)`
-/// over disjoint chunks of `out` whose boundaries always fall on
-/// multiples of `width` elements, so a caller can treat `out` as a
-/// row-major matrix and hand each worker whole rows. `f` receives the
-/// index of the first row in its chunk.
-///
-/// Parallel when the matrix has at least [`par_threshold`] *elements*
-/// and more than one worker thread is configured; otherwise `f(0, out)`
-/// runs inline. The GEMM row-block kernels in `ppdl-nn` are built on
-/// this: each output row is a fixed-order accumulation independent of
-/// the split, so results are bitwise identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `out.len()` is not a multiple of `width`.
-pub fn par_row_chunks_mut<T, F>(out: &mut [T], width: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(width > 0, "par_row_chunks_mut: width must be positive");
-    assert_eq!(
-        out.len() % width,
-        0,
-        "par_row_chunks_mut: slice length {} is not a multiple of row width {width}",
-        out.len()
-    );
-    let rows = out.len() / width;
-    let threads = current_threads();
-    if threads <= 1 || out.len() < par_threshold() {
-        f(0, out);
-        return;
-    }
-    let ranges = split_ranges(rows, threads);
-    thread::scope(|scope| {
-        let mut rest = out;
-        let mut row0 = 0;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len() * width);
-            rest = tail;
-            let first_row = row0;
-            row0 += range.len();
-            let f = &f;
-            scope.spawn(move || f(first_row, chunk));
-        }
-    });
-}
-
-/// Deterministic chunked map-reduce over `0..len`.
-///
-/// The index space is cut into fixed [`REDUCTION_CHUNK`]-element chunks
-/// (boundaries depend on `len` only), `map` produces one partial per
-/// chunk, and the partials are folded with `fold` on the calling thread
-/// in ascending chunk order — so the result is bitwise identical for
-/// any thread count, including one. Returns `None` when `len == 0`.
-///
-/// Below the [`par_threshold`] the single remaining chunk is mapped
-/// inline, which is exactly the sequential kernel.
-pub fn par_reduce<T, M, F>(len: usize, map: M, mut fold: F) -> Option<T>
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    F: FnMut(T, T) -> T,
-{
-    if len == 0 {
-        return None;
-    }
-    let n_chunks = len.div_ceil(REDUCTION_CHUNK);
-    let chunk_range = |c: usize| c * REDUCTION_CHUNK..((c + 1) * REDUCTION_CHUNK).min(len);
-    let threads = current_threads();
-    let partials: Vec<T> = if threads <= 1 || n_chunks <= 1 || len < par_threshold() {
-        (0..n_chunks).map(|c| map(chunk_range(c))).collect()
-    } else {
-        // Contiguous chunk-index spans per thread keep the concatenated
-        // partials in ascending chunk order.
-        let spans = split_ranges(n_chunks, threads);
-        thread::scope(|scope| {
-            let handles: Vec<_> = spans
-                .into_iter()
-                .map(|span| {
-                    let map = &map;
-                    scope.spawn(move || span.map(|c| map(chunk_range(c))).collect::<Vec<T>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Re-raise a worker panic on the calling thread instead
-                // of replacing it with a second panic message
-                // (robustness/unwrap-in-lib).
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
-    };
-    partials.into_iter().reduce(&mut fold)
-}
-
 /// Index-preserving parallel map: `out[i] = f(i, &items[i])`.
 ///
-/// Parallel when `items` has at least two elements, more than one
-/// worker thread is configured, and `f` is presumed expensive (this
-/// entry point is for coarse-grained work such as per-scenario solves;
-/// it ignores the element threshold). Each item is computed
+/// Splits `items` into `min(current_threads(), items.len())`
+/// contiguous spans when that is at least two and the caller is not
+/// itself one of this function's workers; the calling thread works the
+/// first span and a scoped thread each of the others. Otherwise every
+/// item runs on the calling thread. Each item is computed
 /// independently, so results never depend on the split.
 pub fn par_map_vec<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -308,28 +133,39 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    let run = |span: Range<usize>| span.map(|i| f(i, &items[i])).collect::<Vec<R>>();
     let threads = current_threads();
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    if threads <= 1 || items.len() < 2 || IN_WORKER.with(Cell::get) {
+        return run(0..items.len());
     }
-    let spans = split_ranges(items.len(), threads);
+    let mut spans = split_ranges(items.len(), threads).into_iter();
+    let first = spans.next().unwrap_or_default();
     thread::scope(|scope| {
         let handles: Vec<_> = spans
-            .into_iter()
             .map(|span| {
-                let f = &f;
-                scope.spawn(move || span.map(|i| f(i, &items[i])).collect::<Vec<R>>())
+                let run = &run;
+                scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
+                    run(span)
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            // Same: propagate the original worker panic payload
+        // The calling thread works the first span itself. With a spawn
+        // per span, a 2-thread width-model forward of about 2,100 rows
+        // ran slower than 1 thread.
+        IN_WORKER.with(|w| w.set(true));
+        let mut out = run(first);
+        IN_WORKER.with(|w| w.set(false));
+        for h in handles {
+            // Re-raise a worker panic on the calling thread instead of
+            // replacing it with a second panic message
             // (robustness/unwrap-in-lib).
-            .flat_map(|h| {
+            out.extend(
                 h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        out
     })
 }
 
@@ -337,7 +173,7 @@ where
 mod tests {
     use super::*;
 
-    /// Serialises tests that mutate the global config.
+    /// Serialises tests that mutate the global thread count.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -362,83 +198,6 @@ mod tests {
         assert_eq!(current_threads(), 3);
         set_threads(0);
         assert!(current_threads() >= 1);
-        let old = par_threshold();
-        set_par_threshold(128);
-        assert_eq!(parallel_config().threshold, 128);
-        set_par_threshold(old);
-    }
-
-    #[test]
-    fn par_chunks_mut_writes_every_element() {
-        let _g = LOCK.lock().unwrap();
-        let old = par_threshold();
-        set_par_threshold(16);
-        set_threads(4);
-        let mut v = vec![0.0_f64; 1000];
-        par_chunks_mut(&mut v, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (offset + i) as f64;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as f64);
-        }
-        set_threads(0);
-        set_par_threshold(old);
-    }
-
-    #[test]
-    fn par_row_chunks_mut_respects_row_boundaries() {
-        let _g = LOCK.lock().unwrap();
-        let old = par_threshold();
-        set_par_threshold(16);
-        set_threads(3);
-        const WIDTH: usize = 7;
-        let mut v = vec![0usize; 100 * WIDTH];
-        par_row_chunks_mut(&mut v, WIDTH, |row0, chunk| {
-            assert_eq!(chunk.len() % WIDTH, 0, "chunk not row-aligned");
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (row0 * WIDTH + i) % WIDTH + row0 + i / WIDTH;
-            }
-        });
-        set_threads(0);
-        set_par_threshold(old);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i % WIDTH + i / WIDTH, "element {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of row width")]
-    fn par_row_chunks_mut_rejects_misaligned_slice() {
-        let mut v = vec![0.0_f64; 10];
-        par_row_chunks_mut(&mut v, 3, |_, _| {});
-    }
-
-    #[test]
-    fn par_reduce_is_bit_stable_across_thread_counts() {
-        let _g = LOCK.lock().unwrap();
-        let old = par_threshold();
-        set_par_threshold(16);
-        let data: Vec<f64> = (0..100_000)
-            .map(|i| ((i * 37) % 101) as f64 * 0.7)
-            .collect();
-        let sum = |r: Range<usize>| data[r].iter().sum::<f64>();
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 4, 7] {
-            set_threads(threads);
-            results.push(par_reduce(data.len(), sum, |a, b| a + b).unwrap());
-        }
-        set_threads(0);
-        set_par_threshold(old);
-        for w in results.windows(2) {
-            assert_eq!(w[0].to_bits(), w[1].to_bits());
-        }
-    }
-
-    #[test]
-    fn par_reduce_empty_is_none() {
-        assert!(par_reduce(0, |_r| 0.0_f64, |a, b| a + b).is_none());
     }
 
     #[test]
@@ -452,5 +211,23 @@ mod tests {
         });
         set_threads(0);
         assert_eq!(out, (0..97).map(|v| v * 2).collect::<Vec<_>>());
+    }
+
+    /// One level of parallelism: every inner item of a nested call runs
+    /// on the outer worker that made the call.
+    #[test]
+    fn nested_par_map_vec_runs_inline_on_the_outer_worker() {
+        let _g = LOCK.lock().unwrap();
+        set_threads(2);
+        let items: Vec<usize> = (0..4).collect();
+        let runs = par_map_vec(&items, |_, _| {
+            let inner = par_map_vec(&items, |_, _| thread::current().id());
+            (thread::current().id(), inner)
+        });
+        set_threads(0);
+        for (outer, inner) in runs {
+            assert!(inner.iter().all(|&id| id == outer), "inner item forked");
+        }
+        assert!(!IN_WORKER.with(Cell::get), "the caller stays a worker");
     }
 }

@@ -4,19 +4,38 @@
 //! validate shapes at the solver boundary, so a mismatch here is a bug,
 //! not a user error.
 //!
-//! Kernels run through [`crate::parallel`]: element-wise updates split
-//! into disjoint chunks above the parallel threshold, and reductions
-//! (`dot`, `norm2`) use the fixed-chunk deterministic scheme, so every
-//! kernel returns bitwise-identical results at any thread count.
+//! Every kernel is a sequential loop on the calling thread; parallelism
+//! lives one level up, over independent solves (see
+//! [`crate::parallel`]). Reductions (`dot`, the norms) keep a fixed
+//! association: one partial per `REDUCTION_CHUNK`-element chunk,
+//! folded in ascending chunk order. Every CG iterate depends on that
+//! order, so changing it changes the bits of every solve.
 
-use crate::parallel::{par_chunks_mut, par_reduce};
+use std::ops::Range;
+
+/// Fixed reduction chunk size, in elements. Chunk boundaries depend on
+/// the input length only.
+const REDUCTION_CHUNK: usize = 4096;
+
+/// Maps each fixed [`REDUCTION_CHUNK`]-element chunk of `0..len` to a
+/// partial and folds the partials in ascending chunk order; `0.0` when
+/// `len == 0`.
+fn fold_chunks(
+    len: usize,
+    map: impl Fn(Range<usize>) -> f64,
+    fold: impl FnMut(f64, f64) -> f64,
+) -> f64 {
+    (0..len)
+        .step_by(REDUCTION_CHUNK)
+        .map(|start| map(start..(start + REDUCTION_CHUNK).min(len)))
+        .reduce(fold)
+        .unwrap_or(0.0)
+}
 
 /// Dot product `x · y`.
 ///
-/// Computed as a fixed-chunk reduction (see
-/// [`crate::parallel::par_reduce`]): per-chunk partial sums folded in
-/// ascending chunk order, so the floating-point association — and
-/// therefore the result — is independent of the thread count.
+/// Computed as a fixed-chunk reduction: per-chunk serial partial sums
+/// over 4,096-element chunks, folded in ascending chunk order.
 ///
 /// # Panics
 ///
@@ -30,7 +49,7 @@ use crate::parallel::{par_chunks_mut, par_reduce};
 #[must_use]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    par_reduce(
+    fold_chunks(
         x.len(),
         |r| {
             x[r.clone()]
@@ -41,7 +60,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         },
         |a, b| a + b,
     )
-    .unwrap_or(0.0)
 }
 
 /// In-place `y += alpha * x`.
@@ -51,21 +69,16 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// Panics if `x` and `y` have different lengths.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    par_chunks_mut(y, |off, chunk| {
-        let n = chunk.len();
-        for (yi, xi) in chunk.iter_mut().zip(&x[off..off + n]) {
-            *yi += alpha * xi;
-        }
-    });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
 }
 
 /// In-place scale `x *= alpha`.
 pub fn scale(alpha: f64, x: &mut [f64]) {
-    par_chunks_mut(x, |_off, chunk| {
-        for xi in chunk {
-            *xi *= alpha;
-        }
-    });
+    for xi in x {
+        *xi *= alpha;
+    }
 }
 
 /// In-place `y = x + beta * y` (the "xpby" update used by CG for the
@@ -76,27 +89,18 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 /// Panics if `x` and `y` have different lengths.
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    par_chunks_mut(y, |off, chunk| {
-        let n = chunk.len();
-        for (yi, xi) in chunk.iter_mut().zip(&x[off..off + n]) {
-            *yi = xi + beta * *yi;
-        }
-    });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = xi + beta * *yi;
+    }
 }
 
 /// Euclidean norm `||x||_2`, computed with scaling to avoid overflow.
 ///
 /// Both passes (max-abs and the scaled sum of squares) are fixed-chunk
-/// reductions; `max` is exact under reassociation and the sum folds in
-/// chunk order, so the norm is bit-stable across thread counts.
+/// reductions like [`dot`]'s.
 #[must_use]
 pub fn norm2(x: &[f64]) -> f64 {
-    let maxabs = par_reduce(
-        x.len(),
-        |r| x[r].iter().fold(0.0_f64, |m, v| m.max(v.abs())),
-        f64::max,
-    )
-    .unwrap_or(0.0);
+    let maxabs = norm_inf(x);
     if maxabs == 0.0 || !maxabs.is_finite() {
         return if maxabs.is_finite() {
             0.0
@@ -104,7 +108,7 @@ pub fn norm2(x: &[f64]) -> f64 {
             f64::INFINITY
         };
     }
-    let sum: f64 = par_reduce(
+    let sum = fold_chunks(
         x.len(),
         |r| {
             x[r].iter()
@@ -112,20 +116,18 @@ pub fn norm2(x: &[f64]) -> f64 {
                 .sum::<f64>()
         },
         |a, b| a + b,
-    )
-    .unwrap_or(0.0);
+    );
     maxabs * sum.sqrt()
 }
 
 /// Infinity norm `||x||_inf`.
 #[must_use]
 pub fn norm_inf(x: &[f64]) -> f64 {
-    par_reduce(
+    fold_chunks(
         x.len(),
         |r| x[r].iter().fold(0.0_f64, |m, v| m.max(v.abs())),
         f64::max,
     )
-    .unwrap_or(0.0)
 }
 
 /// Elementwise copy of `src` into `dst`.
@@ -156,6 +158,29 @@ mod tests {
     #[test]
     fn dot_empty_is_zero() {
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    /// `dot` is one serial sum per `REDUCTION_CHUNK`, folded in
+    /// ascending chunk order. On this input a single serial sum rounds
+    /// differently, as it would in the CG iterates built on `dot`.
+    #[test]
+    fn dot_folds_per_chunk_sums_in_ascending_order() {
+        let n = 3 * REDUCTION_CHUNK + 123;
+        let x: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.618_034).fract() - 0.5)
+            .collect();
+        let y: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.414_214).fract() + 0.25)
+            .collect();
+        let serial = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(p, q)| p * q).sum::<f64>();
+        let chunked = x
+            .chunks(REDUCTION_CHUNK)
+            .zip(y.chunks(REDUCTION_CHUNK))
+            .map(|(a, b)| serial(a, b))
+            .reduce(|a, b| a + b)
+            .unwrap();
+        assert_eq!(dot(&x, &y).to_bits(), chunked.to_bits());
+        assert_ne!(serial(&x, &y).to_bits(), chunked.to_bits());
     }
 
     #[test]

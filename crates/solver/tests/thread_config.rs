@@ -1,11 +1,11 @@
 //! Regression test for the `PPDL_THREADS` read-once semantics.
 //!
 //! The env var is sampled into a `OnceLock` at the first
-//! `current_threads()` call (i.e. the first kernel use). Changing the
+//! `current_threads()` call (i.e. the first fork). Changing the
 //! variable afterwards must be silently ignored, while `set_threads`
 //! must keep working — that asymmetry is documented on
 //! `current_threads` and is why every CLI routes `--threads` through
-//! `set_threads` before any kernel runs.
+//! `set_threads` before any parallel work runs.
 //!
 //! This lives in its own integration-test binary so the process starts
 //! with the cache unset regardless of what other tests do.

@@ -13,8 +13,8 @@
 //! ppdl serve --unix /run/ppdl.sock --bundle-dir models/
 //! ```
 //!
-//! Every subcommand accepts `--threads <n>` to pin the worker pool —
-//! applied before the first kernel runs, because the `PPDL_THREADS`
+//! Every subcommand accepts `--threads <n>` to pin the thread count —
+//! applied before any parallel work runs, because the `PPDL_THREADS`
 //! environment override is sampled exactly once at first use (see
 //! `ppdl_solver::parallel::current_threads`).
 
@@ -76,8 +76,8 @@ USAGE:
              [--pending <n>] [--telemetry]
              [--listen <addr:port> | --unix <sock>] [--max-clients <n>]
 
-Every subcommand also accepts --threads <n> (pin the worker pool before
-the first kernel runs; overrides PPDL_THREADS). analyze, flow and synth
+Every subcommand also accepts --threads <n> (pin the thread count before
+any parallel work runs; overrides PPDL_THREADS). analyze, flow and synth
 accept --precond <kind> to pick the preconditioner of the conventional
 IR-drop solves (default ic0; an unknown kind lists the accepted ones).
 
@@ -173,7 +173,7 @@ impl Flags {
 }
 
 /// Applies `--threads <n>` through [`powerplanningdl::set_threads`].
-/// Must run before the first kernel call of the subcommand: the
+/// Must run before the subcommand's first parallel call: the
 /// `PPDL_THREADS` environment fallback is sampled exactly once, at the
 /// first `current_threads()` call.
 fn apply_threads(flags: &Flags) -> Result<(), String> {

@@ -33,14 +33,17 @@
 //!
 //! # Parallel execution
 //!
-//! Every hot path — sparse matrix–vector products, the CG vector
-//! kernels, minibatch training, and γ perturbation sweeps — runs on the workspace-wide thread pool
-//! configured through [`parallel`] (re-exported from the solver crate).
-//! The thread count defaults to the machine's parallelism, can be
-//! pinned with the `PPDL_THREADS` environment variable or
-//! [`parallel::set_threads`], and results are **bitwise identical at
-//! every thread count**: work decomposition depends only on problem
-//! size, and reductions fold fixed-size chunks in a fixed order.
+//! Parallelism runs at one level, over independent work items: the
+//! requests of a service batch, synthesis templates, γ perturbation
+//! sweeps and the NN's fixed 256-row chunks, each through
+//! [`parallel::par_map_vec`] (re-exported from the solver crate). A
+//! call nested inside another's worker runs inline, and the kernels
+//! underneath (SpMV, the CG vector kernels, GEMM) are sequential. The
+//! thread count defaults to the machine's parallelism, can be pinned
+//! with the `PPDL_THREADS` environment variable or [`set_threads`],
+//! and results are **bitwise identical at every thread count**: work
+//! decomposition depends only on problem size, and results are folded
+//! in a fixed order.
 //!
 //! # Quickstart
 //!
@@ -72,4 +75,4 @@ pub use ppdl_service as service;
 pub use ppdl_solver as solver;
 
 pub use ppdl_solver::parallel;
-pub use ppdl_solver::{parallel_config, set_par_threshold, set_threads, ParallelConfig};
+pub use ppdl_solver::set_threads;
