@@ -12,7 +12,8 @@
 //! 1. [`StaticAnalysis::solve`] merges via shorts through a node map
 //!    ([`ShortMerge`](ppdl_netlist::ShortMerge), no copy of the
 //!    netlist), classifies nodes (ground / supply-fixed / free), stamps
-//!    conductances, and solves `G v = i` for the free-node voltages.
+//!    conductances straight into CSR, and solves `G v = i` for the
+//!    free-node voltages, as deviations from the supply level.
 //! 2. [`IrDropReport`] exposes voltages, drops, branch currents, and
 //!    the worst-case drop (the Table III number).
 //! 3. [`EmChecker`] computes per-segment current densities `I/w` and
@@ -44,6 +45,7 @@ mod em;
 mod error;
 mod irmap;
 mod mna;
+mod stamp;
 
 pub use em::{EmChecker, EmReport, EmViolation};
 pub use error::AnalysisError;

@@ -1,12 +1,15 @@
 use ppdl_netlist::{NodeId, PowerGridNetwork, UnionFind};
-use ppdl_solver::{CgOptions, ConjugateGradient, PrecondKind, TripletMatrix};
+use ppdl_solver::{CgOptions, ConjugateGradient, PrecondKind};
 
+use crate::stamp::stamp;
 use crate::AnalysisError;
 
 /// Options for a static IR-drop analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisOptions {
-    /// Relative residual tolerance of the CG solve.
+    /// Relative residual tolerance of the solve, in voltage space: it
+    /// stops when `‖b − A v‖ ≤ tolerance · ‖b‖` for the free nodes'
+    /// system `A v = b`.
     pub tolerance: f64,
     /// Iteration cap (`0` = automatic).
     pub max_iterations: usize,
@@ -18,9 +21,9 @@ pub struct AnalysisOptions {
 impl Default for AnalysisOptions {
     fn default() -> Self {
         Self {
-            tolerance: 1e-8,
+            tolerance: 1e-9,
             max_iterations: 0,
-            preconditioner: PrecondKind::Ic0,
+            preconditioner: PrecondKind::Multilevel,
         }
     }
 }
@@ -30,7 +33,9 @@ impl Default for AnalysisOptions {
 /// Performs the "early vectorless / vectored power grid analysis" step
 /// of the conventional flow (Fig. 1 of the paper): node classification,
 /// conductance stamping with Dirichlet elimination of the supply nodes,
-/// and a preconditioned CG solve.
+/// and a preconditioned CG solve. The unknowns are the free nodes'
+/// deviations from the supply level, so CG's zero start is the supply
+/// level.
 #[derive(Debug, Clone, Default)]
 pub struct StaticAnalysis {
     options: AnalysisOptions,
@@ -59,9 +64,10 @@ impl StaticAnalysis {
     /// * [`AnalysisError::Solver`] — the CG solve failed.
     pub fn solve(&self, network: &PowerGridNetwork) -> crate::Result<IrDropReport> {
         let _span = ppdl_obs::span("analysis/solve");
-        if network.voltage_sources().is_empty() {
-            return Err(AnalysisError::NoSupply);
-        }
+        // Re-checked rather than expect()ed: `solve` is on the serve
+        // hot path, where a malformed deck must become a typed wire
+        // error, never a process abort (robustness/unwrap-in-lib).
+        let vdd = network.supply_voltage().ok_or(AnalysisError::NoSupply)?;
         let assemble = ppdl_obs::span("assemble");
         // Shorts are merged through a node map: the original elements
         // are stamped in their own order at their merged node ids, so
@@ -69,10 +75,7 @@ impl StaticAnalysis {
         let merge = network.short_merge();
         let n = merge.node_count();
 
-        // Classify merged nodes.
-        const FREE: usize = usize::MAX;
-        const GROUND: usize = usize::MAX - 1;
-        // fixed_voltage[i] = Some(v) for supply-pinned nodes.
+        // Classify merged nodes: fixed[i] = Some(v) for pinned ones.
         let mut fixed: Vec<Option<f64>> = vec![None; n];
         for s in network.voltage_sources() {
             fixed[merge.node(s.node).0] = Some(s.volts);
@@ -116,65 +119,43 @@ impl StaticAnalysis {
         }
 
         // Index the free unknowns.
-        let mut unknown_index = vec![FREE; n];
+        let mut unknown_index = vec![usize::MAX; n];
         let mut free_nodes = Vec::new();
         for (i, fv) in fixed.iter().enumerate() {
             if fv.is_none() {
                 unknown_index[i] = free_nodes.len();
                 free_nodes.push(i);
-            } else {
-                unknown_index[i] = GROUND; // marker: not an unknown
             }
         }
         let m = free_nodes.len();
-
-        // Stamp.
-        let mut g = TripletMatrix::with_capacity(m, m, 4 * network.resistors().len());
-        let mut rhs = vec![0.0; m];
-        for r in network.resistors() {
-            let Some((a, b)) = merge.resistor(r) else {
-                continue;
-            };
-            let cond = r.conductance();
-            let (a, b) = (a.0, b.0);
-            match (fixed[a], fixed[b]) {
-                (None, None) => {
-                    g.stamp_conductance(unknown_index[a], unknown_index[b], cond);
-                }
-                (None, Some(vb)) => {
-                    let ia = unknown_index[a];
-                    g.stamp_grounded_conductance(ia, cond);
-                    rhs[ia] += cond * vb;
-                }
-                (Some(va), None) => {
-                    let ib = unknown_index[b];
-                    g.stamp_grounded_conductance(ib, cond);
-                    rhs[ib] += cond * va;
-                }
-                (Some(_), Some(_)) => {}
-            }
-        }
-        for l in network.current_loads() {
-            let node = merge.node(l.node).0;
-            if fixed[node].is_none() {
-                rhs[unknown_index[node]] -= l.amps;
-            }
-        }
-
-        let matrix = g.to_csr();
+        let system = stamp(network, &merge, &fixed, &unknown_index, m, vdd)?;
         drop(assemble);
-        let (solution, iterations) = if m == 0 {
-            (None, 0)
+
+        let (deviation, iterations) = if m == 0 {
+            (Vec::new(), 0)
+        } else if system.b_norm == 0.0 {
+            // `A v = 0`: every free node sits at 0 V.
+            (vec![-vdd; m], 0)
         } else {
             let _cg = ppdl_obs::span("cg");
+            // `b − A v` equals `rhs − A δ`, so the voltage-space rule
+            // `‖b − A v‖ ≤ tol·‖b‖` is a relative tolerance of
+            // `tol·‖b‖ / ‖rhs‖` on the δ system.
+            let rhs_norm = ppdl_solver::vecops::norm2(&system.rhs);
+            let scale = if rhs_norm > 0.0 {
+                system.b_norm / rhs_norm
+            } else {
+                1.0
+            };
             let cg = ConjugateGradient::new(CgOptions {
-                tolerance: self.options.tolerance,
+                tolerance: self.options.tolerance * scale,
                 max_iterations: self.options.max_iterations,
                 precond: self.options.preconditioner,
             });
-            let s = cg.solve(&matrix, &rhs)?;
-            (Some(s.x), s.iterations)
+            let s = cg.solve(&system.matrix, &system.rhs)?;
+            (s.x, s.iterations)
         };
+        drop(system);
 
         // Scatter back to merged-node voltages, then to original nodes.
         let mut merged_v = vec![0.0; n];
@@ -183,16 +164,10 @@ impl StaticAnalysis {
                 merged_v[i] = *v;
             }
         }
-        if let Some(x) = solution {
-            for (k, &node) in free_nodes.iter().enumerate() {
-                merged_v[node] = x[k];
-            }
+        for (&node, d) in free_nodes.iter().zip(&deviation) {
+            merged_v[node] = vdd + d;
         }
         let voltages: Vec<f64> = merge.map().iter().map(|&mid| merged_v[mid.0]).collect();
-        // Re-checked rather than expect()ed: `solve` is on the serve
-        // hot path, where a malformed deck must become a typed wire
-        // error, never a process abort (robustness/unwrap-in-lib).
-        let vdd = network.supply_voltage().ok_or(AnalysisError::NoSupply)?;
         let is_ground: Vec<bool> = network
             .node_names()
             .iter()

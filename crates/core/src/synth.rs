@@ -100,7 +100,9 @@ pub struct SynthConfig {
     pub aim_worst_ir: Option<f64>,
     /// Bounded widen-and-reverify rounds after a failed final verify.
     pub max_repair_rounds: usize,
-    /// Preconditioner for the escalation/verification solves.
+    /// Preconditioner for the escalation/verification solves; by
+    /// default the analysis default, so a default sign-off reproduces
+    /// the verified worst IR bit for bit.
     pub precond: PrecondKind,
 }
 
@@ -121,7 +123,7 @@ impl Default for SynthConfig {
             aim_fraction: 0.96,
             aim_worst_ir: None,
             max_repair_rounds: 4,
-            precond: PrecondKind::Ic0,
+            precond: AnalysisOptions::default().preconditioner,
         }
     }
 }
@@ -819,16 +821,18 @@ mod tests {
 
     #[test]
     fn synthesis_keeps_its_pinned_results() {
-        // Digests of the fast, default and anchored runs, recorded
-        // before the oracle was memoised: how the oracle is organised
-        // must not move a bit of what the search finds.
+        // Digests of the fast, default and anchored runs: how the
+        // oracle is organised must not move a bit of what the search
+        // finds. Re-pinned when the sign-off moved to the multilevel
+        // solve at tolerance 1e-9, which verifies (and calibrates) with
+        // other last digits.
         let bundle = fast_bundle();
         let fast = synthesize(&bundle, &SynthConfig::fast(), None).unwrap();
-        assert_eq!(digest(&fast), 0x52a6_77c5_1ac0_fe4e);
+        assert_eq!(digest(&fast), 0x8a28_290c_6d0e_f519);
         let default = synthesize(&bundle, &SynthConfig::default(), None).unwrap();
-        assert_eq!(digest(&default), 0x5c48_25d4_4174_6084);
+        assert_eq!(digest(&default), 0x89fe_437c_1e43_c109);
         let anchored = synthesize(&bundle, &SynthConfig::fast(), Some(0.035)).unwrap();
-        assert_eq!(digest(&anchored), 0x61b1_df1e_d226_6d51);
+        assert_eq!(digest(&anchored), 0x716b_20c2_2836_af9b);
         // The estimates the memo leaves to run (not part of the digests,
         // which predate the field). The two runs without a verified
         // golden drop skip the golden estimate.
@@ -838,7 +842,7 @@ mod tests {
                 default.oracle_evals,
                 anchored.oracle_evals
             ],
-            [286, 546, 191]
+            [286, 518, 191]
         );
     }
 

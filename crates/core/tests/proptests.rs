@@ -28,9 +28,11 @@ proptest! {
             .worst_drop()
             .unwrap()
             .1;
-        // Tolerance: the verifying solve runs at relative residual
-        // 1e-8 on a ~1.8 V solution, so sub-microvolt agreement cannot
-        // be demanded of millivolt-scale drops.
+        // Tolerance: calibration stops within `calibration_tolerance`
+        // (1e-4 relative) of the target, and this solve stops at a
+        // voltage-space relative residual of 1e-9 (its worst drop within
+        // about 2e-6 relative of an exact factor), so the looser 1e-3
+        // bound checks the loop, not the solver's last digits.
         prop_assert!(
             (worst - target).abs() < 1e-3 * target + 1e-6,
             "worst {worst} vs target {target}"

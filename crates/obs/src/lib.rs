@@ -14,7 +14,8 @@
 //!   (`service/batch_ms`).
 //! * Spans — wall-time accumulators keyed by a hierarchical `a/b/c`
 //!   path built from a thread-local stack of open [`Span`]s
-//!   (`pipeline/train/nn/fit`).
+//!   (`pipeline/train/nn/fit`). Work handed to another thread carries
+//!   its caller's path in a [`SpanContext`].
 //!
 //! # Global vs. per-instance collection
 //!
@@ -329,6 +330,44 @@ pub fn span(name: &str) -> Span {
             path,
             start: Instant::now(),
         }),
+    }
+}
+
+/// The open global-span path of one thread, captured so that work it
+/// hands to other threads records its spans under the same path.
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext {
+    path: Vec<String>,
+}
+
+impl SpanContext {
+    /// Captures the calling thread's open spans; empty (and free) when
+    /// collection is disabled.
+    #[must_use]
+    pub fn capture() -> Self {
+        if !enabled() {
+            return Self::default();
+        }
+        Self {
+            path: SPAN_STACK.with(|stack| stack.borrow().clone()),
+        }
+    }
+
+    /// Runs `f` with the captured spans open on the calling thread, then
+    /// restores the thread's own. An empty context runs `f` as is.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        if self.path.is_empty() {
+            return f();
+        }
+        struct Restore(Vec<String>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let own = std::mem::take(&mut self.0);
+                SPAN_STACK.with(|stack| *stack.borrow_mut() = own);
+            }
+        }
+        let _restore = Restore(SPAN_STACK.with(|stack| stack.replace(self.path.clone())));
+        f()
     }
 }
 

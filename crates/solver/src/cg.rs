@@ -125,7 +125,10 @@ impl ConjugateGradient {
     /// * [`SolverError::NotPositiveDefinite`] — the preconditioner could
     ///   not be built from `a`.
     pub fn solve(&self, a: &CsrMatrix, b: &[f64]) -> crate::Result<CgSolution> {
-        let precond = self.options.precond.build(a)?;
+        let precond = {
+            let _span = ppdl_obs::span("precond");
+            self.options.precond.build(a)?
+        };
         self.solve_core(a, b, &precond)
     }
 
@@ -134,7 +137,7 @@ impl ConjugateGradient {
         &self,
         a: &CsrMatrix,
         b: &[f64],
-        precond: &BuiltPreconditioner,
+        precond: &BuiltPreconditioner<'_>,
     ) -> crate::Result<CgSolution> {
         let n = a.nrows();
         if a.ncols() != n {

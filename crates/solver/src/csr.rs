@@ -59,8 +59,9 @@ const SPMV_INTERLEAVE_MAX_ROW_NNZ: usize = 16;
 impl CsrMatrix {
     /// Finishes construction from validated parts: computes the cached
     /// diagonal and row-nnz profile. Every constructor funnels through
-    /// here so the caches always exist.
-    fn assemble(
+    /// here so the caches always exist; a caller inside the crate that
+    /// builds the parts valid by construction may call it directly.
+    pub(crate) fn assemble(
         nrows: usize,
         ncols: usize,
         indptr: Vec<usize>,
@@ -215,6 +216,12 @@ impl CsrMatrix {
             .iter()
             .copied()
             .zip(self.data[lo..hi].iter().copied())
+    }
+
+    /// One row's column indices and values, columns ascending.
+    pub(crate) fn row_parts(&self, row: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.indptr[row], self.indptr[row + 1]);
+        (&self.indices[lo..hi], &self.data[lo..hi])
     }
 
     /// Number of stored entries in one row.

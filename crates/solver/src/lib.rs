@@ -16,8 +16,9 @@
 //! * [`ConjugateGradient`] — (preconditioned) conjugate-gradient solver
 //!   with one entry point, [`ConjugateGradient::solve`]. The
 //!   preconditioner is chosen at runtime by a [`PrecondKind`] carried in
-//!   [`CgOptions`]: identity, Jacobi, block-Jacobi, IC(0), or the exact
-//!   sparse Cholesky factor.
+//!   [`CgOptions`]: identity, Jacobi, block-Jacobi, IC(0), a
+//!   pairwise-aggregation multilevel V-cycle, or the exact sparse
+//!   Cholesky factor.
 //! * [`vecops`] — the BLAS-1 style kernels (`dot`, `axpy`, norms) shared
 //!   by the iterative solvers.
 //! * [`parallel`] — the workspace-wide parallel execution layer: the
@@ -56,6 +57,7 @@ mod cg;
 mod csr;
 mod dense;
 mod error;
+mod multilevel;
 pub mod parallel;
 mod precond;
 mod sparse_chol;

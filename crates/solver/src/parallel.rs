@@ -126,7 +126,9 @@ fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// itself one of this function's workers; the calling thread works the
 /// first span and a scoped thread each of the others. Otherwise every
 /// item runs on the calling thread. Each item is computed
-/// independently, so results never depend on the split.
+/// independently, so results never depend on the split. With telemetry
+/// on, a span an item opens on a worker nests under the caller's open
+/// spans, as it would on the calling thread.
 pub fn par_map_vec<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -140,13 +142,15 @@ where
     }
     let mut spans = split_ranges(items.len(), threads).into_iter();
     let first = spans.next().unwrap_or_default();
+    // Workers record their spans under the caller's path.
+    let context = ppdl_obs::SpanContext::capture();
     thread::scope(|scope| {
         let handles: Vec<_> = spans
             .map(|span| {
-                let run = &run;
+                let (run, context) = (&run, &context);
                 scope.spawn(move || {
                     IN_WORKER.with(|w| w.set(true));
-                    run(span)
+                    context.run(|| run(span))
                 })
             })
             .collect();

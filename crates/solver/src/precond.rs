@@ -1,3 +1,4 @@
+use crate::multilevel::Multilevel;
 use crate::{CsrMatrix, SolverError, SparseCholesky};
 
 /// Which preconditioner a CG solve should build, selected at runtime
@@ -14,8 +15,13 @@ pub enum PrecondKind {
     /// Block-diagonal with per-block dense Cholesky over contiguous
     /// blocks of 64 rows.
     BlockJacobi,
-    /// Zero-fill incomplete Cholesky, IC(0) — strongest on large grids.
+    /// Zero-fill incomplete Cholesky, IC(0).
     Ic0,
+    /// A pairwise-aggregation multilevel V-cycle, smoothed by IC(0) on
+    /// the finest level and by Gauss–Seidel below it. Where the matrix
+    /// cannot be paired down (a level keeps more than 90% of its nodes
+    /// unpaired), it is IC(0) alone.
+    Multilevel,
     /// The exact sparse Cholesky factor ([`SparseCholesky`]) as the
     /// preconditioner, so PCG converges in one iteration. No
     /// fill-reducing ordering: fill-in limits it to small and medium
@@ -30,11 +36,12 @@ const BLOCK_JACOBI_SIZE: usize = 64;
 
 impl PrecondKind {
     /// Every kind, in the order used by sweeps and `--help` listings.
-    pub const ALL: [Self; 5] = [
+    pub const ALL: [Self; 6] = [
         Self::Identity,
         Self::Jacobi,
         Self::BlockJacobi,
         Self::Ic0,
+        Self::Multilevel,
         Self::Direct,
     ];
 
@@ -46,6 +53,7 @@ impl PrecondKind {
             Self::Jacobi => "jacobi",
             Self::BlockJacobi => "block-jacobi",
             Self::Ic0 => "ic0",
+            Self::Multilevel => "multilevel",
             Self::Direct => "direct",
         }
     }
@@ -53,7 +61,7 @@ impl PrecondKind {
     /// Parses a kind from its CLI spelling, case-insensitively: the
     /// one spelling table for every `--precond` flag. Besides each
     /// [`name`](Self::name) it accepts `none`, `ic`, `block_jacobi`,
-    /// `blockjacobi`, `direct-cholesky` and `direct_cholesky`.
+    /// `blockjacobi`, `amg`, `direct-cholesky` and `direct_cholesky`.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -61,13 +69,14 @@ impl PrecondKind {
             "jacobi" => Some(Self::Jacobi),
             "block-jacobi" | "block_jacobi" | "blockjacobi" => Some(Self::BlockJacobi),
             "ic0" | "ic" => Some(Self::Ic0),
+            "multilevel" | "amg" => Some(Self::Multilevel),
             "direct" | "direct-cholesky" | "direct_cholesky" => Some(Self::Direct),
             _ => None,
         }
     }
 
     /// Builds the selected preconditioner for `a`.
-    pub(crate) fn build(self, a: &CsrMatrix) -> crate::Result<BuiltPreconditioner> {
+    pub(crate) fn build(self, a: &CsrMatrix) -> crate::Result<BuiltPreconditioner<'_>> {
         Ok(match self {
             Self::Identity => BuiltPreconditioner::Identity(IdentityPreconditioner::new(a.nrows())),
             Self::Jacobi => BuiltPreconditioner::Jacobi(JacobiPreconditioner::from_matrix(a)?),
@@ -75,6 +84,7 @@ impl PrecondKind {
                 BlockJacobiPreconditioner::from_matrix(a, BLOCK_JACOBI_SIZE)?,
             ),
             Self::Ic0 => BuiltPreconditioner::Ic0(IncompleteCholesky::from_matrix(a)?),
+            Self::Multilevel => BuiltPreconditioner::Multilevel(Multilevel::from_matrix(a)?),
             Self::Direct => BuiltPreconditioner::Direct(SparseCholesky::factor(a)?),
         })
     }
@@ -93,7 +103,7 @@ impl std::str::FromStr for PrecondKind {
         Self::parse(s).ok_or_else(|| SolverError::InvalidOptions {
             detail: format!(
                 "unknown preconditioner {s:?} (expected identity|none, jacobi, \
-                 block-jacobi, ic0, or direct)"
+                 block-jacobi, ic0, multilevel|amg, or direct)"
             ),
         })
     }
@@ -101,16 +111,18 @@ impl std::str::FromStr for PrecondKind {
 
 /// A preconditioner built from a [`PrecondKind`]: applies `z = M⁻¹ r`
 /// once per CG iteration. Every variant is symmetric positive definite.
+/// The multilevel one borrows the matrix it was built from.
 #[derive(Debug, Clone)]
-pub(crate) enum BuiltPreconditioner {
+pub(crate) enum BuiltPreconditioner<'a> {
     Identity(IdentityPreconditioner),
     Jacobi(JacobiPreconditioner),
     BlockJacobi(BlockJacobiPreconditioner),
     Ic0(IncompleteCholesky),
+    Multilevel(Multilevel<'a>),
     Direct(SparseCholesky),
 }
 
-impl BuiltPreconditioner {
+impl BuiltPreconditioner<'_> {
     /// Writes `z = M⁻¹ r`.
     pub(crate) fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         match self {
@@ -118,6 +130,7 @@ impl BuiltPreconditioner {
             Self::Jacobi(p) => p.apply(r, z),
             Self::BlockJacobi(p) => p.apply(r, z),
             Self::Ic0(p) => p.apply(r, z),
+            Self::Multilevel(p) => p.apply(r, z),
             Self::Direct(p) => {
                 check_dims(p.dim(), r, z)?;
                 z.copy_from_slice(&p.solve(r)?);
@@ -384,7 +397,7 @@ impl IncompleteCholesky {
         })
     }
 
-    fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
+    pub(crate) fn apply(&self, r: &[f64], z: &mut [f64]) -> crate::Result<()> {
         check_dims(self.n, r, z)?;
         // Forward solve L y = r.
         for i in 0..self.n {
@@ -598,6 +611,9 @@ mod tests {
         for spelling in ["direct", "Direct-Cholesky", "direct_cholesky"] {
             assert_eq!(PrecondKind::parse(spelling), Some(PrecondKind::Direct));
         }
+        for spelling in ["multilevel", "AMG"] {
+            assert_eq!(PrecondKind::parse(spelling), Some(PrecondKind::Multilevel));
+        }
         assert_eq!(PrecondKind::parse("ilu"), None);
         assert!(matches!(
             "ilu".parse::<PrecondKind>(),
@@ -619,6 +635,7 @@ mod tests {
                         BuiltPreconditioner::BlockJacobi(_)
                     )
                     | (PrecondKind::Ic0, BuiltPreconditioner::Ic0(_))
+                    | (PrecondKind::Multilevel, BuiltPreconditioner::Multilevel(_))
                     | (PrecondKind::Direct, BuiltPreconditioner::Direct(_))
             );
             assert!(matches_kind, "{kind} built the wrong variant");

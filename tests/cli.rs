@@ -78,6 +78,8 @@ fn generate_then_analyze_round_trip() {
         "none",
         "jacobi",
         "block-jacobi",
+        "ic0",
+        "amg",
         "direct",
         "direct-cholesky",
     ] {
@@ -93,10 +95,18 @@ fn generate_then_analyze_round_trip() {
             "--precond {kind}: {mv} mV vs default {default_mv} mV"
         );
     }
-    let out = ppdl(&["analyze", deck.to_str().unwrap(), "--precond", "amg"]);
+    let out = ppdl(&["analyze", deck.to_str().unwrap(), "--precond", "ilu"]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    for spelling in ["amg", "none", "jacobi", "block-jacobi", "ic0", "direct"] {
+    for spelling in [
+        "ilu",
+        "none",
+        "jacobi",
+        "block-jacobi",
+        "ic0",
+        "multilevel",
+        "direct",
+    ] {
         assert!(err.contains(spelling), "missing {spelling:?} in: {err}");
     }
 }

@@ -56,7 +56,12 @@ fn every_instrumented_crate_reports_into_the_global_snapshot() {
 
     let histograms = parsed.get("histograms").expect("histograms section");
     let histogram_keys = object_keys(histograms);
-    for expected in ["solver/cg/iterations", "nn/epoch_ms", "nn/epoch_loss"] {
+    for expected in [
+        "solver/cg/iterations",
+        "solver/multilevel/levels",
+        "nn/epoch_ms",
+        "nn/epoch_loss",
+    ] {
         assert!(
             histogram_keys.contains(&expected),
             "missing histogram {expected}; have {histogram_keys:?}"
@@ -76,6 +81,13 @@ fn every_instrumented_crate_reports_into_the_global_snapshot() {
     assert!(
         span_keys.iter().any(|k| k.ends_with("analysis/solve")),
         "no analysis/solve span recorded; have {span_keys:?}"
+    );
+    // The sign-off's preconditioner set-up, apart from its iterations.
+    assert!(
+        span_keys
+            .iter()
+            .any(|k| k.ends_with("analysis/solve/cg/precond")),
+        "no analysis/solve/cg/precond span recorded; have {span_keys:?}"
     );
 }
 
