@@ -1,8 +1,8 @@
 //! Cross-preset transfer: how well does a width surrogate trained on
 //! one IBM-PG benchmark generalise to the others?
 //!
-//! For each backend (MLP, CNN, and — outside `--fast` — the
-//! encoder-decoder) the experiment trains one model per train preset
+//! For each backend (the MLP and the encoder-decoder) the experiment
+//! trains one model per train preset
 //! and evaluates it on every preset's conventionally sized design,
 //! emitting a train-preset × test-preset error matrix. The diagonal is
 //! in-sample accuracy; the off-diagonal entries measure transfer. The
@@ -32,11 +32,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
             IbmPgPreset::Ibmpg4,
         ]
     };
-    let backends: &[BackendKind] = if opts.fast {
-        &[BackendKind::Mlp, BackendKind::Cnn]
-    } else {
-        &BackendKind::ALL
-    };
+    let backends = BackendKind::ALL;
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -65,7 +61,7 @@ pub(super) fn run(opts: &Options, cache: Option<&ArtifactCache>) -> Result<RunOu
     }
 
     let mut csv_rows = Vec::new();
-    for &backend in backends {
+    for backend in backends {
         let mut matrix_rows = Vec::new();
         for (train_preset, train_ctx) in &sized {
             let mut ctx = train_ctx.clone();

@@ -58,9 +58,14 @@ pub enum ParseError {
 }
 
 /// The shared `--help` text, parameterised on the experiment's default
-/// scale.
+/// scale. The `--precond` default is read from
+/// `AnalysisOptions::default()`, which every conventional solve of the
+/// harness inherits.
 #[must_use]
 pub fn help_text(default_scale: f64) -> String {
+    let precond = ppdl_analysis::AnalysisOptions::default()
+        .preconditioner
+        .name();
     format!(
         "\
 Options (shared by every ppdl experiment):
@@ -78,7 +83,7 @@ Options (shared by every ppdl experiment):
                   run manifest)
   --precond <kind>
                   preconditioner for the conventional analysis solves
-                  (default ic0; an unknown kind lists the accepted ones)
+                  (default {precond}; an unknown kind lists the accepted ones)
   --help          show this message
 "
     )
@@ -411,6 +416,14 @@ mod tests {
         ));
         assert!(help_text(0.02).contains("--no-cache"));
         assert!(help_text(0.02).contains("--precond"));
+        let default = ppdl_analysis::AnalysisOptions::default()
+            .preconditioner
+            .name();
+        assert!(
+            help_text(0.02).contains(&format!("(default {default};")),
+            "{}",
+            help_text(0.02)
+        );
     }
 
     #[test]

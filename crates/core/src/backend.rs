@@ -4,14 +4,15 @@
 //! training cares how widths are produced — the flow, the bundle, and
 //! the serving registry only need *predict widths for this benchmark*.
 //! [`BackendModel`] is that seam: a closed enum over the row-oriented
-//! [`WidthPredictor`] and the map-oriented [`SpatialPredictor`], tagged
-//! with a versioned [`BackendKind`] and an [`InputSpec`] so persisted
-//! artifacts can say exactly what they contain.
+//! [`WidthPredictor`] and the map-oriented [`SpatialPredictor`] (the
+//! encoder-decoder), tagged with a versioned [`BackendKind`] and an
+//! [`InputSpec`] so persisted artifacts can say exactly what they
+//! contain.
 
 use ppdl_netlist::SyntheticBenchmark;
 use ppdl_nn::TrainReport;
 
-use crate::spatial::{SpatialArch, SpatialPredictor, FEATURE_CHANNELS};
+use crate::spatial::{SpatialPredictor, FEATURE_CHANNELS};
 use crate::{CoreError, PredictorConfig, TrainSummary, WidthMetrics, WidthPredictor};
 
 /// Which surrogate architecture a model uses — the selectable backend
@@ -21,26 +22,19 @@ pub enum BackendKind {
     /// The paper's per-segment MLP (one model per strap direction).
     #[default]
     Mlp,
-    /// Full-resolution convolutional map regressor.
-    Cnn,
     /// One-level convolutional encoder-decoder map regressor.
     EncoderDecoder,
 }
 
 impl BackendKind {
     /// All backends, in bundle-tag order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Mlp,
-        BackendKind::Cnn,
-        BackendKind::EncoderDecoder,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Mlp, BackendKind::EncoderDecoder];
 
     /// Stable persistence / wire tag.
     #[must_use]
     pub fn tag(self) -> &'static str {
         match self {
             BackendKind::Mlp => "mlp",
-            BackendKind::Cnn => "cnn",
             BackendKind::EncoderDecoder => "encdec",
         }
     }
@@ -50,7 +44,6 @@ impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Mlp => "MLP",
-            BackendKind::Cnn => "CNN",
             BackendKind::EncoderDecoder => "Encoder-decoder",
         }
     }
@@ -59,14 +52,17 @@ impl BackendKind {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an unknown tag.
+    /// Returns [`CoreError::InvalidConfig`] for an unknown tag, and
+    /// for `cnn`, the removed convolutional backend.
     pub fn parse(tag: &str) -> crate::Result<Self> {
         match tag {
             "mlp" => Ok(BackendKind::Mlp),
-            "cnn" => Ok(BackendKind::Cnn),
             "encdec" => Ok(BackendKind::EncoderDecoder),
+            "cnn" => Err(CoreError::InvalidConfig {
+                detail: "backend 'cnn' was removed (mlp|encdec)".into(),
+            }),
             other => Err(CoreError::InvalidConfig {
-                detail: format!("unknown backend '{other}' (mlp|cnn|encdec)"),
+                detail: format!("unknown backend '{other}' (mlp|encdec)"),
             }),
         }
     }
@@ -142,7 +138,7 @@ impl std::fmt::Display for InputSpec {
 pub enum BackendModel {
     /// Row-oriented per-segment MLP (the paper's model).
     Rows(WidthPredictor),
-    /// Map-oriented spatial surrogate (CNN or encoder-decoder).
+    /// Map-oriented spatial surrogate (the encoder-decoder).
     Spatial(SpatialPredictor),
 }
 
@@ -150,8 +146,8 @@ impl BackendModel {
     /// Trains the selected backend on a benchmark and its golden
     /// widths.
     ///
-    /// The spatial backends train one network (there is no per-direction
-    /// split — directions are map channels), so their [`TrainSummary`]
+    /// The spatial backend trains one network (there is no per-direction
+    /// split — directions are map channels), so its [`TrainSummary`]
     /// carries the single report in the `vertical` slot and an empty
     /// `horizontal` report.
     ///
@@ -169,13 +165,8 @@ impl BackendModel {
                 let (p, summary) = WidthPredictor::train(bench, golden_widths, config.clone())?;
                 Ok((BackendModel::Rows(p), summary))
             }
-            BackendKind::Cnn | BackendKind::EncoderDecoder => {
-                let arch = if kind == BackendKind::Cnn {
-                    SpatialArch::Cnn
-                } else {
-                    SpatialArch::EncoderDecoder
-                };
-                let (p, report) = SpatialPredictor::train(bench, golden_widths, arch, config)?;
+            BackendKind::EncoderDecoder => {
+                let (p, report) = SpatialPredictor::train(bench, golden_widths, config)?;
                 Ok((
                     BackendModel::Spatial(p),
                     TrainSummary {
@@ -197,10 +188,7 @@ impl BackendModel {
     pub fn kind(&self) -> BackendKind {
         match self {
             BackendModel::Rows(_) => BackendKind::Mlp,
-            BackendModel::Spatial(p) => match p.arch() {
-                SpatialArch::Cnn => BackendKind::Cnn,
-                SpatialArch::EncoderDecoder => BackendKind::EncoderDecoder,
-            },
+            BackendModel::Spatial(_) => BackendKind::EncoderDecoder,
         }
     }
 
@@ -234,15 +222,6 @@ impl BackendModel {
         match self {
             BackendModel::Rows(p) => Some(p),
             BackendModel::Spatial(_) => None,
-        }
-    }
-
-    /// The spatial predictor, when this is a spatial backend.
-    #[must_use]
-    pub fn as_spatial(&self) -> Option<&SpatialPredictor> {
-        match self {
-            BackendModel::Rows(_) => None,
-            BackendModel::Spatial(p) => Some(p),
         }
     }
 
@@ -396,6 +375,16 @@ mod tests {
             assert_eq!(BackendKind::parse(kind.tag()).unwrap(), kind);
         }
         assert!(BackendKind::parse("transformer").is_err());
+        match BackendKind::parse("cnn") {
+            Err(CoreError::InvalidConfig { detail }) => {
+                assert!(
+                    detail.contains("cnn") && detail.contains("removed"),
+                    "{detail}"
+                );
+                assert!(detail.contains("mlp|encdec"), "{detail}");
+            }
+            other => panic!("cnn must be refused as removed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -444,8 +433,8 @@ mod tests {
                         InputSpec::Rows { features: 3 }
                     ));
                 }
-                _ => {
-                    assert!(model.as_spatial().is_some());
+                BackendKind::EncoderDecoder => {
+                    assert!(model.as_rows().is_none());
                     assert_eq!(
                         model.input_spec(),
                         InputSpec::Maps {

@@ -12,10 +12,10 @@
 //!   its output widths are the *golden* labels the model learns.
 //! * [`WidthPredictor`] — Problem 1 / Algorithm 1: the deep-learning
 //!   width regressor (MLP + Adam, 10 hidden layers by default).
-//! * [`SpatialPredictor`] / [`BackendModel`] — the spatial (CNN and
-//!   encoder-decoder) width surrogates regressing rasterised width maps,
-//!   and the backend seam that lets the flow, bundles, and the serving
-//!   registry swap them for the MLP.
+//! * [`SpatialPredictor`] / [`BackendModel`] — the encoder-decoder
+//!   width surrogate regressing rasterised width maps, and the backend
+//!   seam that lets the flow, bundles, and the serving registry swap it
+//!   for the MLP.
 //! * [`IrPredictor`] — Problem 2 / Algorithm 2: Kirchhoff-law IR-drop
 //!   estimation from predicted widths and switching currents, *without*
 //!   running a grid solve (eqs. 6–9) — the source of the speedup.
@@ -71,7 +71,7 @@ pub use irpredict::{IrPredictor, PredictedIr};
 pub use perturb::{run_perturbation_sweep, Perturbation, PerturbationKind};
 pub use predict::{BundleMeta, PredictRequest, PredictResponse, Prediction, TrainedBundle};
 pub use predictor::{segment_dataset, PredictorConfig, TrainSummary, WidthMetrics, WidthPredictor};
-pub use spatial::{RasterMaps, SpatialArch, SpatialPredictor};
+pub use spatial::{RasterMaps, SpatialPredictor};
 pub use synth::{synthesize, SynthConfig, SynthResult};
 
 /// Convenience result alias for this crate.

@@ -438,6 +438,8 @@ impl Stage for TrainStage {
 
     fn decode(&self, ctx: &mut PipelineCtx, text: &str) -> crate::Result<()> {
         let mut r = Reader::new(text, Self::HEADER)?;
+        // A removed backend's tag (`cnn`) fails here, so the artifact
+        // cache recomputes the stage.
         let backend = crate::BackendKind::parse(r.tagged("backend")?)?;
         let vertical = Self::decode_report(&mut r, "vertical")?;
         let horizontal = Self::decode_report(&mut r, "horizontal")?;
@@ -445,7 +447,7 @@ impl Stage for TrainStage {
         // versioned header.
         let body_header = match backend {
             crate::BackendKind::Mlp => "ppdl-width-predictor v1",
-            crate::BackendKind::Cnn | crate::BackendKind::EncoderDecoder => "ppdl-spatial v1",
+            crate::BackendKind::EncoderDecoder => "ppdl-spatial v1",
         };
         let body_start = text
             .find(body_header)

@@ -611,7 +611,7 @@ impl TrainedBundle {
             let kind = BackendKind::parse(tag).map_err(|_| CoreError::BundleSchema {
                 field: "backend".into(),
                 found: tag.to_string(),
-                expected: "mlp, cnn, or encdec".into(),
+                expected: "mlp or encdec (the cnn backend was removed)".into(),
             })?;
             let spec_text = tagged(&mut lines, "input_spec")?;
             let spec = InputSpec::parse(spec_text).map_err(|_| CoreError::BundleSchema {
@@ -845,8 +845,8 @@ mod tests {
             other => panic!("wanted BundleSchema, got {other:?}"),
         }
         // A known tag that disagrees with the model body reports both
-        // sides (body says mlp, header says cnn).
-        let lied = bundle.to_text().replace("backend mlp", "backend cnn");
+        // sides (body says mlp, header says encdec).
+        let lied = bundle.to_text().replace("backend mlp", "backend encdec");
         let lied = lied.replace("input_spec rows 3", "input_spec maps 2 8 8");
         match TrainedBundle::from_text(&lied).unwrap_err() {
             CoreError::BundleSchema {
@@ -856,7 +856,27 @@ mod tests {
             } => {
                 assert_eq!(field, "backend");
                 assert_eq!(found, "mlp");
-                assert_eq!(expected, "cnn");
+                assert_eq!(expected, "encdec");
+            }
+            other => panic!("wanted BundleSchema, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cnn_bundle_is_refused_as_removed() {
+        let cnn = fast_bundle()
+            .to_text()
+            .replace("backend mlp", "backend cnn");
+        match TrainedBundle::from_text(&cnn).unwrap_err() {
+            CoreError::BundleSchema {
+                field,
+                found,
+                expected,
+            } => {
+                assert_eq!(field, "backend");
+                assert_eq!(found, "cnn");
+                assert!(expected.contains("cnn backend was removed"), "{expected}");
+                assert!(expected.contains("mlp") && expected.contains("encdec"));
             }
             other => panic!("wanted BundleSchema, got {other:?}"),
         }

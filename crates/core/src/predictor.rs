@@ -36,11 +36,11 @@ pub struct PredictorConfig {
     /// Lower clamp on predicted widths (µm) so downstream geometry
     /// stays physical.
     pub min_width: f64,
-    /// Side length of the S×S raster grid the spatial backends
-    /// (CNN / encoder-decoder) see; ignored by the MLP backend.
+    /// Side length of the S×S raster grid the encoder-decoder backend
+    /// sees (even, since it pools by 2); ignored by the MLP backend.
     pub map_size: usize,
-    /// Channel width of the spatial backends' convolution stacks;
-    /// ignored by the MLP backend.
+    /// Channels of the encoder-decoder's first convolution (its inner
+    /// one has twice as many); ignored by the MLP backend.
     pub conv_channels: usize,
 }
 

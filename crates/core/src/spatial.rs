@@ -1,13 +1,13 @@
-//! Spatial width surrogates: rasterised feature maps and the
-//! convolutional predictors trained on them.
+//! The spatial width surrogate: rasterised feature maps and the
+//! convolutional encoder-decoder trained on them.
 //!
 //! The MLP backend sees one `(X, Y, Id)` row per segment; the spatial
-//! backends instead see the whole die at once, rasterised onto an
+//! backend instead sees the whole die at once, rasterised onto an
 //! `S × S` grid as two channels — per-cell switching-current density
 //! and per-cell wiring resistance — and regress a two-channel width map
 //! (vertical widths in channel 0, horizontal in channel 1). Segment
 //! widths are then read back from the map cell covering the segment's
-//! midpoint, so the spatial predictors plug into exactly the same
+//! midpoint, so the spatial predictor plugs into exactly the same
 //! per-segment / per-strap prediction API as [`WidthPredictor`].
 //!
 //! [`WidthPredictor`]: crate::WidthPredictor
@@ -25,37 +25,6 @@ pub const FEATURE_CHANNELS: usize = 2;
 /// Number of raster target channels (vertical widths, horizontal
 /// widths).
 pub const TARGET_CHANNELS: usize = 2;
-
-/// Which spatial architecture a [`SpatialPredictor`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpatialArch {
-    /// A plain convolution stack at full map resolution.
-    Cnn,
-    /// A one-level encoder-decoder: convolve, pool ×2, convolve,
-    /// upsample ×2, convolve.
-    EncoderDecoder,
-}
-
-impl SpatialArch {
-    /// Stable persistence tag.
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            SpatialArch::Cnn => "cnn",
-            SpatialArch::EncoderDecoder => "encdec",
-        }
-    }
-
-    /// Parses a persistence tag.
-    #[must_use]
-    pub fn parse(tag: &str) -> Option<Self> {
-        match tag {
-            "cnn" => Some(SpatialArch::Cnn),
-            "encdec" => Some(SpatialArch::EncoderDecoder),
-            _ => None,
-        }
-    }
-}
 
 /// The rasterised view of one benchmark: feature and target maps as
 /// single channel-major rows (`idx = c·S² + y·S + x`), ready for the
@@ -246,9 +215,11 @@ impl ChannelScale {
     }
 }
 
-/// A trained spatial surrogate: a convolutional [`Network`] regressing
-/// the two-channel width map from the two-channel raster features, plus
-/// the per-channel standardisation it was trained under.
+/// A trained spatial surrogate: a convolutional encoder-decoder
+/// [`Network`] (convolve, max-pool ×2, convolve, upsample ×2, convolve)
+/// regressing the two-channel width map from the two-channel raster
+/// features, plus the per-channel standardisation it was trained
+/// under.
 ///
 /// Mirrors the [`WidthPredictor`](crate::WidthPredictor) prediction
 /// API (per-segment, per-strap sampled, evaluate) so the two slot into
@@ -256,7 +227,6 @@ impl ChannelScale {
 #[derive(Debug, Clone)]
 pub struct SpatialPredictor {
     model: Network,
-    arch: SpatialArch,
     map_size: usize,
     feature_scale: ChannelScale,
     target_scale: ChannelScale,
@@ -274,12 +244,11 @@ impl SpatialPredictor {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a degenerate map size
-    /// (below 2, or odd for the encoder-decoder) or zero convolution
-    /// channels; propagates training errors.
+    /// (below 2, or odd) or zero convolution channels; propagates
+    /// training errors.
     pub fn train(
         bench: &SyntheticBenchmark,
         golden_widths: &[f64],
-        arch: SpatialArch,
         config: &PredictorConfig,
     ) -> crate::Result<(Self, TrainReport)> {
         let s = config.map_size;
@@ -289,7 +258,7 @@ impl SpatialPredictor {
                 detail: "spatial predictor needs at least one convolution channel".into(),
             });
         }
-        if arch == SpatialArch::EncoderDecoder && s % 2 != 0 {
+        if s % 2 != 0 {
             return Err(CoreError::InvalidConfig {
                 detail: format!("encoder-decoder needs an even map size, got {s}"),
             });
@@ -304,20 +273,14 @@ impl SpatialPredictor {
             h: s,
             w: s,
         };
-        let builder = NetworkBuilder::new(input).seed(config.seed);
-        let builder = match arch {
-            SpatialArch::Cnn => builder
-                .conv2d(f, 3, Activation::Relu)
-                .conv2d(f, 3, Activation::Relu)
-                .conv2d(TARGET_CHANNELS, 3, Activation::Identity),
-            SpatialArch::EncoderDecoder => builder
-                .conv2d(f, 3, Activation::Relu)
-                .max_pool(2)
-                .conv2d(2 * f, 3, Activation::Relu)
-                .upsample(2)
-                .conv2d(TARGET_CHANNELS, 3, Activation::Identity),
-        };
-        let mut model = builder.build()?;
+        let mut model = NetworkBuilder::new(input)
+            .seed(config.seed)
+            .conv2d(f, 3, Activation::Relu)
+            .max_pool(2)
+            .conv2d(2 * f, 3, Activation::Relu)
+            .upsample(2)
+            .conv2d(TARGET_CHANNELS, 3, Activation::Identity)
+            .build()?;
 
         let x = Matrix::from_vec(
             1,
@@ -330,7 +293,6 @@ impl SpatialPredictor {
         Ok((
             Self {
                 model,
-                arch,
                 map_size: s,
                 feature_scale,
                 target_scale,
@@ -338,12 +300,6 @@ impl SpatialPredictor {
             },
             report,
         ))
-    }
-
-    /// The architecture this predictor was built with.
-    #[must_use]
-    pub fn arch(&self) -> SpatialArch {
-        self.arch
     }
 
     /// The raster side length `S`.
@@ -533,11 +489,11 @@ impl SpatialPredictor {
 
     /// Serialises the predictor in the `ppdl-spatial v1` text format
     /// (header fields, channel scales, then the embedded
-    /// `ppdl-net v1` network).
+    /// `ppdl-net v1` network). The `arch` field always reads
+    /// `encdec`.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::from("ppdl-spatial v1\n");
-        out.push_str(&format!("arch {}\n", self.arch.tag()));
+        let mut out = String::from("ppdl-spatial v1\narch encdec\n");
         out.push_str(&format!("map_size {}\n", self.map_size));
         out.push_str(&format!("min_width {}\n", self.min_width));
         for (tag, scale) in [
@@ -562,7 +518,9 @@ impl SpatialPredictor {
     /// # Errors
     ///
     /// Returns [`CoreError::BundleMismatch`] for a malformed or
-    /// truncated text, and propagates network decode errors.
+    /// truncated text or an `arch` other than `encdec` (a `cnn` body
+    /// belongs to the removed CNN backend), and propagates network
+    /// decode errors.
     pub fn from_text(text: &str) -> crate::Result<Self> {
         let mut lines = text.lines();
         let header = lines.next().unwrap_or_default().trim();
@@ -571,10 +529,15 @@ impl SpatialPredictor {
                 detail: format!("expected header 'ppdl-spatial v1', found '{header}'"),
             });
         }
-        let arch_tag = tagged_value(&mut lines, "arch")?;
-        let arch = SpatialArch::parse(&arch_tag).ok_or_else(|| CoreError::BundleMismatch {
-            detail: format!("unknown spatial architecture '{arch_tag}'"),
-        })?;
+        let arch = tagged_value(&mut lines, "arch")?;
+        if arch != "encdec" {
+            return Err(CoreError::BundleMismatch {
+                detail: format!(
+                    "spatial architecture '{arch}' is not supported (encdec; the cnn backend \
+                     was removed)"
+                ),
+            });
+        }
         let map_size: usize = parse_num(&tagged_value(&mut lines, "map_size")?, "map_size")?;
         let min_width: f64 = parse_num(&tagged_value(&mut lines, "min_width")?, "min_width")?;
         let feature_scale = parse_scale(
@@ -605,7 +568,6 @@ impl SpatialPredictor {
         let model = Network::from_text(&body)?;
         let decoded = Self {
             model,
-            arch,
             map_size,
             feature_scale,
             target_scale,
@@ -718,12 +680,17 @@ mod tests {
         ));
     }
 
+    fn trained() -> (SyntheticBenchmark, Vec<f64>, SpatialPredictor) {
+        let (bench, golden) = sized();
+        let (p, _) = SpatialPredictor::train(&bench, &golden, &PredictorConfig::fast()).unwrap();
+        (bench, golden, p)
+    }
+
     #[test]
-    fn cnn_trains_and_predicts_physical_widths() {
+    fn encoder_decoder_trains_and_predicts_physical_widths() {
         let (bench, golden) = sized();
         let config = PredictorConfig::fast();
-        let (p, report) =
-            SpatialPredictor::train(&bench, &golden, SpatialArch::Cnn, &config).unwrap();
+        let (p, report) = SpatialPredictor::train(&bench, &golden, &config).unwrap();
         assert!(report.epochs_run > 0);
         let first = report.train_losses.first().copied().unwrap();
         let last = report.train_losses.last().copied().unwrap();
@@ -731,6 +698,9 @@ mod tests {
         let per_seg = p.predict_segments(&bench).unwrap();
         assert_eq!(per_seg.len(), bench.segments().len());
         assert!(per_seg.iter().all(|w| *w >= config.min_width));
+        let w = p.predict_strap_widths(&bench).unwrap();
+        assert_eq!(w.len(), bench.straps().len());
+        assert!(w.iter().all(|v| *v >= config.min_width));
         let m = p.evaluate(&bench, &golden).unwrap();
         assert!(m.r2.is_finite());
         assert!(
@@ -741,18 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn encoder_decoder_round_trips_geometry() {
-        let (bench, golden) = sized();
-        let config = PredictorConfig::fast();
-        let (p, _) =
-            SpatialPredictor::train(&bench, &golden, SpatialArch::EncoderDecoder, &config).unwrap();
-        assert_eq!(p.arch(), SpatialArch::EncoderDecoder);
-        let w = p.predict_strap_widths(&bench).unwrap();
-        assert_eq!(w.len(), bench.straps().len());
-        assert!(w.iter().all(|v| *v >= config.min_width));
-    }
-
-    #[test]
     fn encoder_decoder_needs_even_map() {
         let (bench, golden) = sized();
         let config = PredictorConfig {
@@ -760,17 +718,14 @@ mod tests {
             ..PredictorConfig::fast()
         };
         assert!(matches!(
-            SpatialPredictor::train(&bench, &golden, SpatialArch::EncoderDecoder, &config),
+            SpatialPredictor::train(&bench, &golden, &config),
             Err(CoreError::InvalidConfig { .. })
         ));
     }
 
     #[test]
     fn sampled_strap_widths_match_full_at_stride_one() {
-        let (bench, golden) = sized();
-        let (p, _) =
-            SpatialPredictor::train(&bench, &golden, SpatialArch::Cnn, &PredictorConfig::fast())
-                .unwrap();
+        let (bench, _, p) = trained();
         let full = p.predict_strap_widths(&bench).unwrap();
         let sampled = p.predict_strap_widths_sampled(&bench, 1).unwrap();
         assert_eq!(full, sampled);
@@ -781,11 +736,9 @@ mod tests {
 
     #[test]
     fn persistence_round_trips_bitwise() {
-        let (bench, golden) = sized();
-        let (p, _) =
-            SpatialPredictor::train(&bench, &golden, SpatialArch::Cnn, &PredictorConfig::fast())
-                .unwrap();
+        let (bench, _, p) = trained();
         let text = p.to_text();
+        assert!(text.starts_with("ppdl-spatial v1\narch encdec\n"), "{text}");
         let back = SpatialPredictor::from_text(&text).unwrap();
         assert_eq!(back.to_text(), text);
         assert_eq!(
@@ -796,20 +749,30 @@ mod tests {
 
     #[test]
     fn malformed_texts_rejected() {
-        let (bench, golden) = sized();
-        let (p, _) =
-            SpatialPredictor::train(&bench, &golden, SpatialArch::Cnn, &PredictorConfig::fast())
-                .unwrap();
+        let (_, _, p) = trained();
         let text = p.to_text();
         for broken in [
             text.replace("ppdl-spatial v1", "ppdl-spatial v9"),
-            text.replace("arch cnn", "arch transformer"),
+            text.replace("arch encdec", "arch transformer"),
             text.replace("end-spatial\n", ""),
         ] {
             assert!(matches!(
                 SpatialPredictor::from_text(&broken),
                 Err(CoreError::BundleMismatch { .. }) | Err(CoreError::Nn(_))
             ));
+        }
+    }
+
+    #[test]
+    fn a_cnn_body_is_refused() {
+        // A body the removed CNN backend wrote: only the arch tag says so.
+        let (_, _, p) = trained();
+        let cnn = p.to_text().replace("arch encdec", "arch cnn");
+        match SpatialPredictor::from_text(&cnn) {
+            Err(CoreError::BundleMismatch { detail }) => {
+                assert!(detail.contains("'cnn'"), "{detail}")
+            }
+            other => panic!("a cnn body must be refused, got {other:?}"),
         }
     }
 }

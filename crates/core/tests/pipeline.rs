@@ -2,8 +2,10 @@
 //! bitwise reproducibility, key chaining, and corrupt-artifact
 //! fallback.
 
-use ppdl_core::pipeline::{ArtifactCache, BenchmarkSourceStage, PipelineCtx, Stage, StageRecord};
-use ppdl_core::{DlFlowConfig, DlOutcome, PowerPlanningDl};
+use ppdl_core::pipeline::{
+    ArtifactCache, BenchmarkSourceStage, PipelineCtx, Stage, StageRecord, TrainStage,
+};
+use ppdl_core::{BackendKind, CoreError, DlFlowConfig, DlOutcome, PowerPlanningDl};
 use ppdl_netlist::IbmPgPreset;
 
 /// The fast flow on an ibmpg2 preset against `cache`.
@@ -134,4 +136,56 @@ fn corrupt_artifacts_fall_back_to_recompute() {
     assert_eq!(cache2.stats().misses, 5);
     // The recompute is deterministic, so the outcome still matches.
     assert_bitwise_equal(&cold, &recomputed);
+}
+
+#[test]
+fn a_cnn_train_artifact_is_recomputed() {
+    // What the removed CNN backend cached: a train artifact tagged
+    // `backend cnn` over a `ppdl-spatial v1` body with `arch cnn`.
+    let dir = cache_dir("cnn");
+    let config = || {
+        DlFlowConfig::builder()
+            .fast()
+            .backend(BackendKind::EncoderDecoder)
+            .build()
+    };
+    let run = |cache: &ArtifactCache| {
+        let source = BenchmarkSourceStage::preset(IbmPgPreset::Ibmpg2, 0.005, 4);
+        PowerPlanningDl::new(config())
+            .run(source, Some(cache))
+            .unwrap()
+    };
+    let (cold, _) = run(&ArtifactCache::new(&dir));
+    let mut cnn_text = None;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("train-")
+        {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let cnn = text
+                .replace("\nbackend encdec\n", "\nbackend cnn\n")
+                .replace("\narch encdec\n", "\narch cnn\n");
+            assert_eq!(cnn.matches("cnn").count(), 2, "{cnn}");
+            std::fs::write(&path, &cnn).unwrap();
+            cnn_text = Some(cnn);
+        }
+    }
+    let cnn_text = cnn_text.expect("the cold run stores a train artifact");
+
+    match TrainStage.decode(&mut PipelineCtx::new(config(), None), &cnn_text) {
+        Err(CoreError::InvalidConfig { detail }) => {
+            assert!(detail.contains("'cnn' was removed"), "{detail}")
+        }
+        other => panic!("a cnn artifact must not decode, got {other:?}"),
+    }
+    let cache = ArtifactCache::new(&dir);
+    let (warm, records) = run(&cache);
+    for r in &records {
+        assert_eq!(r.cache_hit, r.name != "train", "stage '{}'", r.name);
+    }
+    assert_bitwise_equal(&cold, &warm);
 }

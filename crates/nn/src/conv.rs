@@ -1,4 +1,4 @@
-//! Spatial layers: 2-D convolution, pooling, upsampling, and flatten.
+//! Spatial layers: 2-D convolution, max pooling, and upsampling.
 //!
 //! Samples stay ordinary [`Matrix`] rows — one row per sample, holding
 //! a `C×H×W` map flattened channel-major (`idx = c·H·W + y·W + x`) —
@@ -86,10 +86,6 @@ pub struct Conv2d {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
-    cached_input: Option<Matrix>,
-    cached_preact: Option<Matrix>,
-    grad_weights: Matrix,
-    grad_bias: Vec<f64>,
 }
 
 impl Conv2d {
@@ -127,10 +123,6 @@ impl Conv2d {
             weights,
             bias: vec![0.0; out_c],
             activation,
-            cached_input: None,
-            cached_preact: None,
-            grad_weights: Matrix::zeros(out_c, fan_in),
-            grad_bias: vec![0.0; out_c],
         })
     }
 
@@ -179,10 +171,6 @@ impl Conv2d {
             weights,
             bias,
             activation,
-            cached_input: None,
-            cached_preact: None,
-            grad_weights: Matrix::zeros(out_c, fan_in),
-            grad_bias: vec![0.0; out_c],
         })
     }
 
@@ -365,72 +353,55 @@ impl Conv2d {
         Ok((grad_input, grad_weights, grad_bias))
     }
 
-    pub(crate) fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-        let (pre, out) = self.forward_pure(input)?;
-        self.cached_input = Some(input.clone());
-        self.cached_preact = Some(pre);
-        Ok(out)
-    }
-
-    pub(crate) fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-        let input = self.cached_input.as_ref().ok_or(NnError::InvalidConfig {
-            detail: "conv2d backward called before forward".into(),
-        })?;
-        let pre = self.cached_preact.as_ref().ok_or(NnError::InvalidConfig {
-            detail: "conv2d backward called before forward".into(),
-        })?;
-        let (grad_input, grad_weights, grad_bias) = self.backward_pure(input, pre, grad_output)?;
-        self.grad_weights = grad_weights;
-        self.grad_bias = grad_bias;
-        Ok(grad_input)
-    }
-
-    pub(crate) fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>) {
-        self.grad_weights = grad_weights;
-        self.grad_bias = grad_bias;
-    }
-
-    pub(crate) fn update_parameters(&mut self, mut f: impl FnMut(&mut [f64], &[f64])) {
-        f(self.weights.as_mut_slice(), self.grad_weights.as_slice());
-        f(&mut self.bias, &self.grad_bias);
+    pub(crate) fn parameters_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        (self.weights.as_mut_slice(), &mut self.bias)
     }
 }
 
-/// How a pooling window reduces: maximum or mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolKind {
-    Max,
-    Avg,
-}
-
-/// Shared geometry/kernels for the two pooling layers:
-/// `c×H×W → c×(H/k)×(W/k)` with `kernel = stride = k`.
+/// Max pooling: `c×H×W → c×(H/k)×(W/k)`, window = stride = `k`, with
+/// a deterministic first-max tie-break.
 #[derive(Debug, Clone)]
-struct Pool2d {
+pub struct MaxPool2d {
     c: usize,
     h: usize,
     w: usize,
     k: usize,
-    kind: PoolKind,
-    cached_input: Option<Matrix>,
 }
 
-impl Pool2d {
-    fn new(kind: PoolKind, c: usize, h: usize, w: usize, k: usize) -> crate::Result<Self> {
-        check_dims("pool2d", &[c, h, w, k])?;
+impl MaxPool2d {
+    /// Creates the pooling layer over a `c×h×w` input with window (and
+    /// stride) `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] for zero dimensions or a
+    /// window that does not divide the map evenly.
+    pub fn new(c: usize, h: usize, w: usize, k: usize) -> crate::Result<Self> {
+        check_dims("maxpool2d", &[c, h, w, k])?;
         if h % k != 0 || w % k != 0 {
             return Err(NnError::InvalidConfig {
-                detail: format!("pool2d window {k} must divide the {h}x{w} map"),
+                detail: format!("maxpool2d window {k} must divide the {h}x{w} map"),
             });
         }
-        Ok(Self {
-            c,
-            h,
-            w,
-            k,
-            kind,
-            cached_input: None,
-        })
+        Ok(Self { c, h, w, k })
+    }
+
+    /// Channel count (unchanged by pooling).
+    #[must_use]
+    pub fn channels(&self) -> usize {
+        self.c
+    }
+
+    /// Input spatial size `(h, w)`.
+    #[must_use]
+    pub fn spatial(&self) -> (usize, usize) {
+        (self.h, self.w)
+    }
+
+    /// Pooling window / stride.
+    #[must_use]
+    pub fn window(&self) -> usize {
+        self.k
     }
 
     fn input_len(&self) -> usize {
@@ -441,8 +412,8 @@ impl Pool2d {
         self.c * (self.h / self.k) * (self.w / self.k)
     }
 
-    fn forward_values(&self, input: &Matrix) -> crate::Result<Matrix> {
-        check_input_width("pool2d", input, self.input_len())?;
+    pub(crate) fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
+        check_input_width("maxpool2d", input, self.input_len())?;
         let (h, w, k) = (self.h, self.w, self.k);
         let (h2, w2) = (h / k, w / k);
         let mut out = Matrix::zeros(input.rows(), self.output_len());
@@ -454,28 +425,17 @@ impl Pool2d {
                 let out_base = c * h2 * w2;
                 for oy in 0..h2 {
                     for ox in 0..w2 {
-                        let mut acc = match self.kind {
-                            PoolKind::Max => f64::NEG_INFINITY,
-                            PoolKind::Avg => 0.0,
-                        };
+                        let mut acc = f64::NEG_INFINITY;
                         for dy in 0..k {
                             for dx in 0..k {
                                 let v = x[in_base + (oy * k + dy) * w + ox * k + dx];
-                                match self.kind {
-                                    // Strict > keeps the first maximum
-                                    // on ties — a deterministic argmax
-                                    // the backward pass re-derives.
-                                    PoolKind::Max => {
-                                        if v > acc {
-                                            acc = v;
-                                        }
-                                    }
-                                    PoolKind::Avg => acc += v,
+                                // Strict > keeps the first maximum on
+                                // ties — a deterministic argmax the
+                                // backward pass re-derives.
+                                if v > acc {
+                                    acc = v;
                                 }
                             }
-                        }
-                        if self.kind == PoolKind::Avg {
-                            acc /= (k * k) as f64;
                         }
                         o[out_base + oy * w2 + ox] = acc;
                     }
@@ -485,12 +445,17 @@ impl Pool2d {
         Ok(out)
     }
 
-    fn backward_values(&self, input: &Matrix, grad_output: &Matrix) -> crate::Result<Matrix> {
-        check_input_width("pool2d", input, self.input_len())?;
+    pub(crate) fn backward_pure(
+        &self,
+        input: &Matrix,
+        _pre: &Matrix,
+        grad_output: &Matrix,
+    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
+        check_input_width("maxpool2d", input, self.input_len())?;
         if grad_output.shape() != (input.rows(), self.output_len()) {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
-                    "pool2d gradient {:?} vs expected {}x{}",
+                    "maxpool2d gradient {:?} vs expected {}x{}",
                     grad_output.shape(),
                     input.rows(),
                     self.output_len()
@@ -499,7 +464,6 @@ impl Pool2d {
         }
         let (h, w, k) = (self.h, self.w, self.k);
         let (h2, w2) = (h / k, w / k);
-        let inv_area = 1.0 / (k * k) as f64;
         let mut grad_input = Matrix::zeros(input.rows(), self.input_len());
         for r in 0..input.rows() {
             let x = input.row(r);
@@ -510,130 +474,26 @@ impl Pool2d {
                 let out_base = c * h2 * w2;
                 for oy in 0..h2 {
                     for ox in 0..w2 {
-                        let g = d[out_base + oy * w2 + ox];
-                        match self.kind {
-                            PoolKind::Max => {
-                                // First-max tie-break, matching forward.
-                                let mut best = f64::NEG_INFINITY;
-                                let mut best_idx = in_base + (oy * k) * w + ox * k;
-                                for dy in 0..k {
-                                    for dx in 0..k {
-                                        let idx = in_base + (oy * k + dy) * w + ox * k + dx;
-                                        if x[idx] > best {
-                                            best = x[idx];
-                                            best_idx = idx;
-                                        }
-                                    }
-                                }
-                                gi[best_idx] += g;
-                            }
-                            PoolKind::Avg => {
-                                for dy in 0..k {
-                                    for dx in 0..k {
-                                        gi[in_base + (oy * k + dy) * w + ox * k + dx] +=
-                                            g * inv_area;
-                                    }
+                        // First-max tie-break, matching forward.
+                        let mut best = f64::NEG_INFINITY;
+                        let mut best_idx = in_base + (oy * k) * w + ox * k;
+                        for dy in 0..k {
+                            for dx in 0..k {
+                                let idx = in_base + (oy * k + dy) * w + ox * k + dx;
+                                if x[idx] > best {
+                                    best = x[idx];
+                                    best_idx = idx;
                                 }
                             }
                         }
+                        gi[best_idx] += d[out_base + oy * w2 + ox];
                     }
                 }
             }
         }
-        Ok(grad_input)
+        Ok((grad_input, Matrix::zeros(0, 0), Vec::new()))
     }
 }
-
-macro_rules! pool_layer {
-    ($name:ident, $kind:expr, $doc:literal) => {
-        #[doc = $doc]
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: Pool2d,
-        }
-
-        impl $name {
-            /// Creates the pooling layer over a `c×h×w` input with
-            /// window (and stride) `k`.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`NnError::InvalidConfig`] for zero dimensions
-            /// or a window that does not divide the map evenly.
-            pub fn new(c: usize, h: usize, w: usize, k: usize) -> crate::Result<Self> {
-                Ok(Self {
-                    inner: Pool2d::new($kind, c, h, w, k)?,
-                })
-            }
-
-            /// Channel count (unchanged by pooling).
-            #[must_use]
-            pub fn channels(&self) -> usize {
-                self.inner.c
-            }
-
-            /// Input spatial size `(h, w)`.
-            #[must_use]
-            pub fn spatial(&self) -> (usize, usize) {
-                (self.inner.h, self.inner.w)
-            }
-
-            /// Pooling window / stride.
-            #[must_use]
-            pub fn window(&self) -> usize {
-                self.inner.k
-            }
-
-            pub(crate) fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
-                let out = self.inner.forward_values(input)?;
-                Ok((out.clone(), out))
-            }
-
-            pub(crate) fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
-                self.inner.forward_values(input)
-            }
-
-            pub(crate) fn backward_pure(
-                &self,
-                input: &Matrix,
-                _pre: &Matrix,
-                grad_output: &Matrix,
-            ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
-                let grad_input = self.inner.backward_values(input, grad_output)?;
-                Ok((grad_input, Matrix::zeros(0, 0), Vec::new()))
-            }
-
-            pub(crate) fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-                let out = self.inner.forward_values(input)?;
-                self.inner.cached_input = Some(input.clone());
-                Ok(out)
-            }
-
-            pub(crate) fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-                let input = self
-                    .inner
-                    .cached_input
-                    .as_ref()
-                    .ok_or(NnError::InvalidConfig {
-                        detail: "pool2d backward called before forward".into(),
-                    })?;
-                self.inner.backward_values(input, grad_output)
-            }
-        }
-    };
-}
-
-pool_layer!(
-    MaxPool2d,
-    PoolKind::Max,
-    "Max pooling: `c×H×W → c×(H/k)×(W/k)`, window = stride = `k`, \
-     deterministic first-max tie-break."
-);
-pool_layer!(
-    AvgPool2d,
-    PoolKind::Avg,
-    "Average pooling: `c×H×W → c×(H/k)×(W/k)`, window = stride = `k`."
-);
 
 /// Nearest-neighbour upsampling: `c×H×W → c×(H·k)×(W·k)`. The backward
 /// pass sums each `k×k` block of the output gradient — the exact
@@ -644,7 +504,6 @@ pub struct Upsample2d {
     h: usize,
     w: usize,
     k: usize,
-    cached_rows: Option<usize>,
 }
 
 impl Upsample2d {
@@ -656,13 +515,7 @@ impl Upsample2d {
     /// Returns [`NnError::InvalidConfig`] for zero dimensions.
     pub fn new(c: usize, h: usize, w: usize, k: usize) -> crate::Result<Self> {
         check_dims("upsample2d", &[c, h, w, k])?;
-        Ok(Self {
-            c,
-            h,
-            w,
-            k,
-            cached_rows: None,
-        })
+        Ok(Self { c, h, w, k })
     }
 
     /// Channel count (unchanged).
@@ -691,7 +544,7 @@ impl Upsample2d {
         self.c * self.h * self.k * self.w * self.k
     }
 
-    fn forward_values(&self, input: &Matrix) -> crate::Result<Matrix> {
+    pub(crate) fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
         check_input_width("upsample2d", input, self.input_len())?;
         let (h, w, k) = (self.h, self.w, self.k);
         let (h2, w2) = (h * k, w * k);
@@ -712,7 +565,13 @@ impl Upsample2d {
         Ok(out)
     }
 
-    fn backward_values(&self, rows: usize, grad_output: &Matrix) -> crate::Result<Matrix> {
+    pub(crate) fn backward_pure(
+        &self,
+        input: &Matrix,
+        _pre: &Matrix,
+        grad_output: &Matrix,
+    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
+        let rows = input.rows();
         if grad_output.shape() != (rows, self.output_len()) {
             return Err(NnError::ShapeMismatch {
                 detail: format!(
@@ -738,91 +597,7 @@ impl Upsample2d {
                 }
             }
         }
-        Ok(grad_input)
-    }
-
-    pub(crate) fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
-        let out = self.forward_values(input)?;
-        Ok((out.clone(), out))
-    }
-
-    pub(crate) fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
-        self.forward_values(input)
-    }
-
-    pub(crate) fn backward_pure(
-        &self,
-        input: &Matrix,
-        _pre: &Matrix,
-        grad_output: &Matrix,
-    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
-        let grad_input = self.backward_values(input.rows(), grad_output)?;
         Ok((grad_input, Matrix::zeros(0, 0), Vec::new()))
-    }
-
-    pub(crate) fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-        let out = self.forward_values(input)?;
-        self.cached_rows = Some(input.rows());
-        Ok(out)
-    }
-
-    pub(crate) fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-        let rows = self.cached_rows.ok_or(NnError::InvalidConfig {
-            detail: "upsample2d backward called before forward".into(),
-        })?;
-        self.backward_values(rows, grad_output)
-    }
-}
-
-/// Flatten: reinterprets a `c×h×w` map as a flat feature row. Because
-/// samples are already stored as flattened rows, the data path is the
-/// identity — the layer exists so the graph (and its persisted form)
-/// records where spatial structure ends and dense layers begin.
-#[derive(Debug, Clone)]
-pub struct Flatten {
-    c: usize,
-    h: usize,
-    w: usize,
-}
-
-impl Flatten {
-    /// Creates a flatten marker for a `c×h×w` input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for zero dimensions.
-    pub fn new(c: usize, h: usize, w: usize) -> crate::Result<Self> {
-        check_dims("flatten", &[c, h, w])?;
-        Ok(Self { c, h, w })
-    }
-
-    /// The input map shape `(c, h, w)`.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize, usize) {
-        (self.c, self.h, self.w)
-    }
-
-    fn len(&self) -> usize {
-        self.c * self.h * self.w
-    }
-
-    pub(crate) fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
-        check_input_width("flatten", input, self.len())?;
-        Ok((input.clone(), input.clone()))
-    }
-
-    pub(crate) fn forward_inference(&self, input: &Matrix) -> crate::Result<Matrix> {
-        check_input_width("flatten", input, self.len())?;
-        Ok(input.clone())
-    }
-
-    pub(crate) fn backward_pure(
-        &self,
-        _input: &Matrix,
-        _pre: &Matrix,
-        grad_output: &Matrix,
-    ) -> crate::Result<(Matrix, Matrix, Vec<f64>)> {
-        Ok((grad_output.clone(), Matrix::zeros(0, 0), Vec::new()))
     }
 }
 
@@ -872,13 +647,13 @@ mod tests {
 
     #[test]
     fn conv_gradients_match_finite_difference() {
-        let mut c = Conv2d::new(2, 4, 4, 3, 3, Activation::Tanh, &mut rng()).unwrap();
+        let c = Conv2d::new(2, 4, 4, 3, 3, Activation::Tanh, &mut rng()).unwrap();
         let x = Matrix::from_fn(3, 2 * 16, |r, i| {
             ((r * 31 + i * 7) % 13) as f64 * 0.11 - 0.6
         });
-        let _ = c.forward(&x).unwrap();
+        let (pre, _) = c.forward_pure(&x).unwrap();
         let ones = Matrix::from_fn(3, 3 * 16, |_, _| 1.0);
-        let dx = c.backward(&ones).unwrap();
+        let (dx, dw, db) = c.backward_pure(&x, &pre, &ones).unwrap();
         let h = 1e-6;
         let sum_out = |c: &Conv2d, x: &Matrix| -> f64 {
             c.forward_inference(x).unwrap().as_slice().iter().sum()
@@ -896,7 +671,7 @@ mod tests {
             cm = Conv2d::from_parameters(2, 4, 4, 3, 3, cm.activation(), wm, cm.bias().to_vec())
                 .unwrap();
             let fd = (sum_out(&cp, &x) - sum_out(&cm, &x)) / (2.0 * h);
-            let an = c.grad_weights.get(r, col);
+            let an = dw.get(r, col);
             assert!((fd - an).abs() < 1e-4, "dW[{r}][{col}]: fd {fd} vs {an}");
         }
         // Bias gradient.
@@ -906,7 +681,7 @@ mod tests {
         bp = Conv2d::from_parameters(2, 4, 4, 3, 3, bp.activation(), bp.weights().clone(), bias)
             .unwrap();
         let fd = (sum_out(&bp, &x) - sum_out(&c, &x)) / h;
-        assert!((fd - c.grad_bias[1]).abs() < 1e-3, "db: fd {fd}");
+        assert!((fd - db[1]).abs() < 1e-3, "db: fd {fd}");
         // Input gradient spot check.
         let mut xp = x.clone();
         xp.set(1, 9, xp.get(1, 9) + h);
@@ -922,7 +697,7 @@ mod tests {
         // Tie between positions 0 and 3: forward takes the value, and
         // backward routes the whole gradient to the first.
         let x = Matrix::from_rows(&[&[5.0, 1.0, 2.0, 5.0]]).unwrap();
-        let (_, out) = p.forward_pure(&x).unwrap();
+        let out = p.forward_inference(&x).unwrap();
         assert_eq!(out.as_slice(), &[5.0]);
         let g = Matrix::from_rows(&[&[2.0]]).unwrap();
         let (gi, gw, gb) = p.backward_pure(&x, &out, &g).unwrap();
@@ -932,40 +707,20 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_averages_and_spreads() {
-        let p = AvgPool2d::new(1, 2, 2, 2).unwrap();
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 6.0]]).unwrap();
-        let (_, out) = p.forward_pure(&x).unwrap();
-        assert_eq!(out.as_slice(), &[3.0]);
-        let g = Matrix::from_rows(&[&[4.0]]).unwrap();
-        let (gi, _, _) = p.backward_pure(&x, &out, &g).unwrap();
-        assert_eq!(gi.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
     fn pool_window_must_divide() {
         assert!(MaxPool2d::new(1, 5, 4, 2).is_err());
-        assert!(AvgPool2d::new(1, 4, 6, 4).is_err());
+        assert!(MaxPool2d::new(1, 4, 6, 4).is_err());
     }
 
     #[test]
     fn upsample_replicates_and_adjoint_sums() {
         let u = Upsample2d::new(1, 1, 2, 2).unwrap();
         let x = Matrix::from_rows(&[&[3.0, 7.0]]).unwrap();
-        let (_, out) = u.forward_pure(&x).unwrap();
+        let out = u.forward_inference(&x).unwrap();
         assert_eq!(out.as_slice(), &[3.0, 3.0, 7.0, 7.0, 3.0, 3.0, 7.0, 7.0]);
         let g = Matrix::from_fn(1, 8, |_, i| (i + 1) as f64);
         let (gi, _, _) = u.backward_pure(&x, &out, &g).unwrap();
         // Each input cell collects its 2x2 block: {1,2,5,6} and {3,4,7,8}.
         assert_eq!(gi.as_slice(), &[14.0, 22.0]);
-    }
-
-    #[test]
-    fn flatten_is_identity_with_checked_width() {
-        let f = Flatten::new(2, 2, 2).unwrap();
-        let x = Matrix::from_fn(3, 8, |r, i| (r + i) as f64);
-        let (_, out) = f.forward_pure(&x).unwrap();
-        assert_eq!(out, x);
-        assert!(f.forward_inference(&Matrix::zeros(1, 7)).is_err());
     }
 }

@@ -1,11 +1,11 @@
-//! The data-parallel minibatch engine behind
-//! [`Network`](crate::Network): batches with at least
-//! `2 * PAR_ROW_CHUNK` rows are decomposed into fixed
-//! [`PAR_ROW_CHUNK`]-row chunks and evaluated through the
-//! side-effect-free layer kernels, with chunk gradients reduced in
-//! ascending chunk order. The decomposition depends only on the batch
-//! size — never on the thread count — so training and inference are
-//! bitwise deterministic at any `PPDL_THREADS` setting.
+//! The minibatch engine behind [`Network`](crate::Network). Every
+//! batch runs through the side-effect-free layer kernels in fixed row
+//! chunks ([`row_chunks`]): below `2 * PAR_ROW_CHUNK` rows the whole
+//! batch is one chunk, above it the chunks hold [`PAR_ROW_CHUNK`] rows,
+//! evaluated concurrently with training gradients reduced in ascending
+//! chunk order. The decomposition depends only on the batch size —
+//! never on the thread count — so training and inference are bitwise
+//! deterministic at any `PPDL_THREADS` setting.
 //!
 //! Inference hands each run of consecutive dense layers (all eleven
 //! of the paper's MLP) to one `gemm::dense_forward` call, which takes
@@ -13,25 +13,28 @@
 //! other layers run one at a time.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use ppdl_solver::parallel::par_map_vec;
 
 use crate::{DenseLayer, Layer, Loss, Matrix, NnError, Optimizer};
 
-/// Fixed row-chunk size for the data-parallel minibatch path.
+/// Row-chunk size of batches with at least `2 * PAR_ROW_CHUNK` rows.
 pub(crate) const PAR_ROW_CHUNK: usize = 256;
 
-/// Splits `rows` into `[start, end)` ranges of `PAR_ROW_CHUNK` rows
-/// (last chunk shorter).
-pub(crate) fn row_chunks(rows: usize) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::with_capacity(rows.div_ceil(PAR_ROW_CHUNK));
-    let mut start = 0;
-    while start < rows {
-        let end = (start + PAR_ROW_CHUNK).min(rows);
-        out.push(start..end);
-        start = end;
-    }
-    out
+/// The `[start, end)` row chunks a batch of `rows` runs in: the whole
+/// batch below `2 * PAR_ROW_CHUNK` rows, otherwise `PAR_ROW_CHUNK`
+/// rows each (last chunk shorter).
+pub(crate) fn row_chunks(rows: usize) -> Vec<Range<usize>> {
+    let size = if rows < 2 * PAR_ROW_CHUNK {
+        rows.max(1)
+    } else {
+        PAR_ROW_CHUNK
+    };
+    (0..rows)
+        .step_by(size)
+        .map(|start| start..(start + size).min(rows))
+        .collect()
 }
 
 /// Inference over `layers`, chunking large batches through the pure
@@ -86,11 +89,16 @@ fn predict_chunked(layers: &[Layer], x: &Matrix) -> crate::Result<Matrix> {
     })
 }
 
-/// One optimisation step with an optional L2 weight penalty: runs the
-/// forward/backward step (chunked for large batches), then walks the
-/// parameter-group protocol — per layer index `li`, weights are group
-/// `2 * li` (decayed) and bias `2 * li + 1` — and ends the optimizer
-/// step. Returns the pre-update batch loss (excluding the penalty).
+/// Per-layer `(weight, bias)` gradients of one training step, in
+/// layer order (empty tensors for parameterless layers).
+pub(crate) type Gradients = Vec<(Matrix, Vec<f64>)>;
+
+/// One optimisation step with an optional L2 weight penalty: checks
+/// the batch, runs [`train_step`] over its [`row_chunks`], then walks
+/// the parameter-group protocol — per layer index `li`, weights are
+/// group `2 * li` (decayed) and bias `2 * li + 1` — and ends the
+/// optimizer step. Returns the pre-update batch loss (excluding the
+/// penalty).
 pub(crate) fn train_batch_regularized<O: Optimizer>(
     layers: &mut [Layer],
     x: &Matrix,
@@ -104,88 +112,74 @@ pub(crate) fn train_batch_regularized<O: Optimizer>(
             detail: format!("weight decay {weight_decay} must be non-negative"),
         });
     }
-    let value = if x.rows() >= 2 * PAR_ROW_CHUNK && x.rows() == y.rows() {
-        train_step_chunked(layers, x, y, loss)?
-    } else {
-        train_step_full(layers, x, y, loss)?
-    };
-    let mut result = Ok(());
-    for (li, layer) in layers.iter_mut().enumerate() {
-        let mut group = 2 * li;
-        layer.update_parameters(|params, grads| {
-            if result.is_ok() {
-                result = if weight_decay > 0.0 && group % 2 == 0 {
-                    let decayed: Vec<f64> = params
-                        .iter()
-                        .zip(grads)
-                        .map(|(p, g)| g + 2.0 * weight_decay * p)
-                        .collect();
-                    optimizer.step(group, params, &decayed)
-                } else {
-                    optimizer.step(group, params, grads)
-                };
-            }
-            group += 1;
+    // Checked before any chunk is sliced: `Matrix::slice_rows` asserts.
+    if x.rows() != y.rows() {
+        return Err(NnError::ShapeMismatch {
+            detail: format!(
+                "batch has {} input rows but {} target rows",
+                x.rows(),
+                y.rows()
+            ),
         });
     }
-    result?;
+    if x.rows() == 0 {
+        return Err(NnError::EmptyDataset);
+    }
+    let (value, grads) = train_step(layers, x, y, loss, &row_chunks(x.rows()))?;
+    for (li, (layer, (gw, gb))) in layers.iter_mut().zip(grads).enumerate() {
+        let Some((weights, bias)) = layer.parameters_mut() else {
+            continue;
+        };
+        if weight_decay > 0.0 {
+            let decayed: Vec<f64> = weights
+                .iter()
+                .zip(gw.as_slice())
+                .map(|(p, g)| g + 2.0 * weight_decay * p)
+                .collect();
+            optimizer.step(2 * li, weights, &decayed)?;
+        } else {
+            optimizer.step(2 * li, weights, gw.as_slice())?;
+        }
+        optimizer.step(2 * li + 1, bias, &gb)?;
+    }
     optimizer.end_step();
     Ok(value)
 }
 
-/// Classic whole-batch forward/backward, leaving gradients in the
-/// layers' caches. Returns the batch loss.
-pub(crate) fn train_step_full(
-    layers: &mut [Layer],
+/// Forward and backward over `chunks` of the batch through the
+/// side-effect-free layer kernels, concurrently when
+/// [`ppdl_solver::parallel`] allows. Returns the batch loss (the
+/// chunk-weighted mean) and each layer's gradients, summed in
+/// ascending chunk order. `chunks` must tile `0..x.rows()`, and `x`
+/// and `y` must have that many rows.
+pub(crate) fn train_step(
+    layers: &[Layer],
     x: &Matrix,
     y: &Matrix,
     loss: Loss,
-) -> crate::Result<f64> {
-    let mut a = x.clone();
-    for layer in layers.iter_mut() {
-        a = layer.forward(&a)?;
-    }
-    let value = loss.value(&a, y)?;
-    let mut grad = loss.gradient(&a, y)?;
-    for layer in layers.iter_mut().rev() {
-        grad = layer.backward(&grad)?;
-    }
-    Ok(value)
-}
-
-/// Data-parallel forward/backward over fixed row chunks; installs the
-/// chunk-order-summed gradients into the layers and returns the batch
-/// loss (the chunk-weighted mean).
-pub(crate) fn train_step_chunked(
-    layers: &mut [Layer],
-    x: &Matrix,
-    y: &Matrix,
-    loss: Loss,
-) -> crate::Result<f64> {
-    let chunks = row_chunks(x.rows());
+    chunks: &[Range<usize>],
+) -> crate::Result<(f64, Gradients)> {
     let total_rows = x.rows() as f64;
-    let shared = &*layers;
-    type ChunkResult = (f64, Vec<(Matrix, Vec<f64>)>);
     // ppdl-lint: allow(determinism/tainted-parallel) -- over-approximated edge: the untyped `act.apply(v)` in conv.rs resolves to Perturbation::apply by name; activation functions draw no RNG
-    let results = par_map_vec(&chunks, |_, r| -> crate::Result<ChunkResult> {
+    let results = par_map_vec(chunks, |_, r| -> crate::Result<(f64, Gradients)> {
         let weight = (r.end - r.start) as f64 / total_rows;
         let xc = x.slice_rows(r.start, r.end);
         let yc = y.slice_rows(r.start, r.end);
         // Forward, keeping each layer's (input, pre-activation).
-        let mut caches = Vec::with_capacity(shared.len());
+        let mut saved = Vec::with_capacity(layers.len());
         let mut a = xc;
-        for layer in shared {
+        for layer in layers {
             let (pre, out) = layer.forward_pure(&a)?;
-            caches.push((a, pre));
+            saved.push((a, pre));
             a = out;
         }
         let value = loss.value(&a, &yc)?;
         // The loss gradient normalises by the chunk size; rescale so
-        // the chunk contributes its share of the whole-batch mean.
+        // the chunk contributes its share of the whole-batch mean (a
+        // lone chunk's weight is exactly 1.0).
         let mut grad = loss.gradient(&a, &yc)?.scale(weight);
-        let mut grads_rev = Vec::with_capacity(shared.len());
-        for (li, layer) in shared.iter().enumerate().rev() {
-            let (input, pre) = &caches[li];
+        let mut grads_rev = Vec::with_capacity(layers.len());
+        for (layer, (input, pre)) in layers.iter().zip(&saved).rev() {
             let (gx, gw, gb) = layer.backward_pure(input, pre, &grad)?;
             grads_rev.push((gw, gb));
             grad = gx;
@@ -195,32 +189,17 @@ pub(crate) fn train_step_chunked(
     });
     // Reduce in ascending chunk order — the order is fixed by the
     // decomposition, so the sums are thread-count independent.
-    let mut value = 0.0;
-    let mut acc: Option<Vec<(Matrix, Vec<f64>)>> = None;
+    let mut results = results.into_iter();
+    let (mut value, mut acc) = results.next().ok_or(NnError::EmptyDataset)??;
     for res in results {
         let (v, grads) = res?;
         value += v;
-        acc = Some(match acc {
-            None => grads,
-            Some(mut a) => {
-                for ((aw, ab), (gw, gb)) in a.iter_mut().zip(grads) {
-                    *aw = aw.add(&gw)?;
-                    for (s, g) in ab.iter_mut().zip(&gb) {
-                        *s += g;
-                    }
-                }
-                a
+        for ((aw, ab), (gw, gb)) in acc.iter_mut().zip(grads) {
+            *aw = aw.add(&gw)?;
+            for (s, g) in ab.iter_mut().zip(&gb) {
+                *s += g;
             }
-        });
+        }
     }
-    // A non-empty batch always yields at least one chunk; surface a
-    // typed error instead of panicking if the chunking ever changes
-    // (robustness/unwrap-in-lib).
-    let acc = acc.ok_or(NnError::InvalidConfig {
-        detail: "backward_batch called with an empty batch".into(),
-    })?;
-    for (layer, (gw, gb)) in layers.iter_mut().zip(acc) {
-        layer.set_gradients(gw, gb);
-    }
-    Ok(value)
+    Ok((value, acc))
 }

@@ -11,11 +11,11 @@
 //!   backpropagation needs.
 //! * [`Network`] — the one model type: a sequential layer graph over
 //!   [`Layer`] kinds ([`DenseLayer`], [`Conv2d`], [`MaxPool2d`],
-//!   [`AvgPool2d`], [`Upsample2d`], [`Flatten`]) with manual
-//!   forward/backward passes on a bitwise-deterministic parallel
-//!   minibatch engine. [`MlpBuilder`] builds the paper's dense-only
-//!   MLP; [`NetworkBuilder`] builds the spatial CNN /
-//!   encoder-decoder surrogates.
+//!   [`Upsample2d`]) with manual forward/backward kernels on a
+//!   bitwise-deterministic parallel minibatch engine, the one training
+//!   path. [`MlpBuilder`] builds the paper's all-dense MLP;
+//!   [`NetworkBuilder`] builds the all-spatial encoder-decoder
+//!   surrogate.
 //! * [`Activation`] — ReLU / LeakyReLU / Tanh / Sigmoid / Identity.
 //! * [`Loss`] — MSE (the paper's choice), MAE, and Huber.
 //! * [`Optimizer`] implementations — [`Sgd`], [`Momentum`], [`RmsProp`],
@@ -76,7 +76,7 @@ mod tensor;
 mod trainer;
 
 pub use activation::Activation;
-pub use conv::{AvgPool2d, Conv2d, Flatten, MaxPool2d, Upsample2d};
+pub use conv::{Conv2d, MaxPool2d, Upsample2d};
 pub use data::{Dataset, StandardScaler};
 pub use error::NnError;
 pub use layer::DenseLayer;

@@ -3,14 +3,12 @@ use rand::SeedableRng;
 
 use crate::{Activation, DenseLayer, Layer, Network, NnError, TensorShape};
 
-/// Builder for the paper's dense-only [`Network`]: a multilayer
+/// Builder for the paper's all-dense [`Network`]: a multilayer
 /// perceptron over a flat feature row.
 ///
-/// Unlike [`NetworkBuilder::dense`](crate::NetworkBuilder::dense),
-/// which seeds each layer separately, every weight is drawn in layer
-/// order from one RNG seeded by [`seed`](Self::seed) — the
-/// initialisation every trained width model and committed golden
-/// starts from.
+/// Every weight is drawn in layer order from one RNG seeded by
+/// [`seed`](Self::seed) — the initialisation every trained width model
+/// and committed golden starts from.
 #[derive(Debug, Clone)]
 pub struct MlpBuilder {
     input_dim: usize,
@@ -284,35 +282,31 @@ mod tests {
 
     #[test]
     fn chunked_gradients_match_full_batch() {
-        // 600 rows crosses the 2 * PAR_ROW_CHUNK threshold, so the
-        // chunked step runs; its summed gradients must agree with the
-        // whole-batch step up to reassociation rounding.
+        // 600 rows crosses the 2 * PAR_ROW_CHUNK threshold, so a step
+        // runs three chunks; their summed gradients must agree with the
+        // whole batch run as a single chunk, up to reassociation
+        // rounding.
         let x = Matrix::from_fn(600, 3, |r, c| ((r * 7 + c * 3) % 17) as f64 / 17.0 - 0.4);
         let y = Matrix::from_fn(600, 1, |r, _| {
             x.get(r, 0) * 0.8 - x.get(r, 1) + 0.3 * x.get(r, 2)
         });
-        let base = MlpBuilder::new(3)
+        let net = MlpBuilder::new(3)
             .hidden(6, Activation::Tanh)
             .output(1)
             .seed(21)
             .build()
             .unwrap();
-        let mut full = base.layers().to_vec();
-        let mut chunked = base.layers().to_vec();
-        let vf = engine::train_step_full(&mut full, &x, &y, Loss::Mse).unwrap();
-        let vc = engine::train_step_chunked(&mut chunked, &x, &y, Loss::Mse).unwrap();
+        let chunks = engine::row_chunks(600);
+        assert_eq!(chunks.len(), 3);
+        let whole = std::slice::from_ref(&(0..600));
+        let (vf, full) = engine::train_step(net.layers(), &x, &y, Loss::Mse, whole).unwrap();
+        let (vc, chunked) = engine::train_step(net.layers(), &x, &y, Loss::Mse, &chunks).unwrap();
         assert!((vf - vc).abs() < 1e-12 * vf.abs().max(1.0), "{vf} vs {vc}");
-        for (lf, lc) in full.iter().zip(&chunked) {
-            let (lf, lc) = (dense(lf), dense(lc));
-            for (a, b) in lf
-                .grad_weights()
-                .as_slice()
-                .iter()
-                .zip(lc.grad_weights().as_slice())
-            {
+        for ((fw, fb), (cw, cb)) in full.iter().zip(&chunked) {
+            for (a, b) in fw.as_slice().iter().zip(cw.as_slice()) {
                 assert!((a - b).abs() < 1e-10, "{a} vs {b}");
             }
-            for (a, b) in lf.grad_bias().iter().zip(lc.grad_bias()) {
+            for (a, b) in fb.iter().zip(cb) {
                 assert!((a - b).abs() < 1e-10, "{a} vs {b}");
             }
         }

@@ -11,17 +11,20 @@
 //! <4 weight rows (2·3·3 values each)>
 //! <1 bias row>
 //! maxpool2d 4 8 8 2
-//! flatten 4 4 4
-//! dense 1 64 identity
-//! <1 weight row>
+//! upsample2d 4 4 4 2
+//! conv2d 2 4 8 8 3 identity
+//! <2 weight rows (4·3·3 values each)>
 //! <1 bias row>
 //! end
 //! ```
 //!
+//! An MLP reads `input flat <n>` and has one
+//! `dense <out> <in> <activation>` block per layer.
+//!
 //! Values use shortest-round-trip float formatting, so save/load is
 //! lossless and re-encoding a loaded model is byte-identical.
 
-use crate::conv::{AvgPool2d, Conv2d, Flatten, MaxPool2d, Upsample2d};
+use crate::conv::{Conv2d, MaxPool2d, Upsample2d};
 use crate::network::{Layer, Network, TensorShape};
 use crate::{Activation, DenseLayer, Matrix, NnError};
 
@@ -129,17 +132,9 @@ impl Network {
                     let (h, w) = l.spatial();
                     let _ = writeln!(out, "maxpool2d {} {h} {w} {}", l.channels(), l.window());
                 }
-                Layer::AvgPool2d(l) => {
-                    let (h, w) = l.spatial();
-                    let _ = writeln!(out, "avgpool2d {} {h} {w} {}", l.channels(), l.window());
-                }
                 Layer::Upsample2d(l) => {
                     let (h, w) = l.spatial();
                     let _ = writeln!(out, "upsample2d {} {h} {w} {}", l.channels(), l.factor());
-                }
-                Layer::Flatten(l) => {
-                    let (c, h, w) = l.shape();
-                    let _ = writeln!(out, "flatten {c} {h} {w}");
                 }
             }
         }
@@ -223,21 +218,11 @@ impl Network {
                     checked_product(&d[..3], ln)?;
                     Layer::MaxPool2d(MaxPool2d::new(d[0], d[1], d[2], d[3])?)
                 }
-                "avgpool2d" => {
-                    let d = parse_usizes(&fields, 1, 4, ln)?;
-                    checked_product(&d[..3], ln)?;
-                    Layer::AvgPool2d(AvgPool2d::new(d[0], d[1], d[2], d[3])?)
-                }
                 "upsample2d" => {
                     let d = parse_usizes(&fields, 1, 4, ln)?;
                     // The output map is c·(h·k)·(w·k).
                     checked_product(&[d[0], d[1], d[2], d[3], d[3]], ln)?;
                     Layer::Upsample2d(Upsample2d::new(d[0], d[1], d[2], d[3])?)
-                }
-                "flatten" => {
-                    let d = parse_usizes(&fields, 1, 3, ln)?;
-                    checked_product(&d, ln)?;
-                    Layer::Flatten(Flatten::new(d[0], d[1], d[2])?)
                 }
                 _ => {
                     return Err(NnError::Decode {
@@ -372,27 +357,19 @@ mod tests {
             .max_pool(2)
             .conv2d(4, 1, Activation::LeakyRelu(0.03))
             .upsample(2)
-            .avg_pool(2)
-            .flatten()
-            .dense(2, Activation::Identity)
+            .conv2d(2, 3, Activation::Identity)
             .seed(13)
             .build()
             .unwrap()
     }
 
     #[test]
-    fn round_trip_covers_every_layer_kind() {
+    fn round_trip_covers_every_spatial_layer_kind() {
         let net = spatial_net();
         let text = net.to_text();
-        // All six layer kinds appear in the artifact.
-        for kind in [
-            "conv2d",
-            "maxpool2d",
-            "avgpool2d",
-            "upsample2d",
-            "flatten",
-            "dense",
-        ] {
+        // Every spatial layer kind appears in the artifact (`dense` is
+        // covered by `mlp_round_trip_is_exact`).
+        for kind in ["conv2d", "maxpool2d", "upsample2d"] {
             assert!(text.contains(kind), "missing {kind} in:\n{text}");
         }
         let back = Network::from_text(&text).unwrap();
@@ -407,9 +384,9 @@ mod tests {
 
     #[test]
     fn flat_input_round_trips() {
-        let net = NetworkBuilder::new(TensorShape::Flat(3))
-            .dense(5, Activation::Tanh)
-            .dense(1, Activation::Identity)
+        let net = MlpBuilder::new(3)
+            .hidden(5, Activation::Tanh)
+            .output(1)
             .seed(4)
             .build()
             .unwrap();
@@ -433,6 +410,22 @@ mod tests {
                 assert!(detail.contains("attention"), "{detail}")
             }
             other => panic!("expected decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn removed_layer_kinds_rejected_with_line() {
+        for (block, kind) in [
+            ("avgpool2d 1 4 4 2", "avgpool2d"),
+            ("flatten 1 4 4", "flatten"),
+        ] {
+            let text = format!("ppdl-net v1\ninput chw 1 4 4\nlayers 1\n{block}\nend\n");
+            match Network::from_text(&text) {
+                Err(NnError::Decode { line: 4, detail }) => {
+                    assert!(detail.contains(kind), "{detail}")
+                }
+                other => panic!("expected a line-4 decode error, got {other:?}"),
+            }
         }
     }
 
@@ -593,7 +586,7 @@ mod tests {
             "ppdl-net v1\ninput flat 3\nlayers 1\ndense 4294967296 4294967296 relu\n",
             "ppdl-mlp v1\nlayers 1\nlayer 4294967296 4294967296 relu\n",
             "ppdl-net v1\ninput chw 4294967296 4294967296 1\nlayers 1\n\
-             flatten 4294967296 4294967296 1\nend\n",
+             upsample2d 4294967296 4294967296 1 1\nend\n",
             "ppdl-net v1\ninput chw 1 3 3\nlayers 1\nconv2d 1 1 3 3 4294967297 relu\n",
             "ppdl-net v1\ninput flat 3\nlayers 1\ndense 3000000 3000000 relu\n",
             "ppdl-mlp v1\nlayers 1\nlayer 3000000 3000000 relu\n",

@@ -1,11 +1,12 @@
-//! The layer-graph model: a sequential [`Network`] composing dense and
-//! spatial layers behind one deterministic engine. The paper's MLP is
-//! the dense-only case ([`MlpBuilder`](crate::MlpBuilder)).
+//! The layer-graph model: a sequential [`Network`] of dense or spatial
+//! layers behind one deterministic engine. The paper's MLP is the
+//! all-dense case ([`MlpBuilder`](crate::MlpBuilder)); the
+//! encoder-decoder is the all-spatial one ([`NetworkBuilder`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::conv::{AvgPool2d, Conv2d, Flatten, MaxPool2d, Upsample2d};
+use crate::conv::{Conv2d, MaxPool2d, Upsample2d};
 use crate::engine;
 use crate::{Activation, DenseLayer, Loss, Matrix, NnError, Optimizer};
 
@@ -63,12 +64,8 @@ pub enum Layer {
     Conv2d(Conv2d),
     /// Max pooling (window = stride).
     MaxPool2d(MaxPool2d),
-    /// Average pooling (window = stride).
-    AvgPool2d(AvgPool2d),
     /// Nearest-neighbour upsampling.
     Upsample2d(Upsample2d),
-    /// Map-to-row marker (identity data path).
-    Flatten(Flatten),
 }
 
 impl Layer {
@@ -93,14 +90,6 @@ impl Layer {
                     w,
                 }
             }
-            Layer::AvgPool2d(l) => {
-                let (h, w) = l.spatial();
-                TensorShape::Chw {
-                    c: l.channels(),
-                    h,
-                    w,
-                }
-            }
             Layer::Upsample2d(l) => {
                 let (h, w) = l.spatial();
                 TensorShape::Chw {
@@ -108,10 +97,6 @@ impl Layer {
                     h,
                     w,
                 }
-            }
-            Layer::Flatten(l) => {
-                let (c, h, w) = l.shape();
-                TensorShape::Chw { c, h, w }
             }
         }
     }
@@ -138,15 +123,6 @@ impl Layer {
                     w: w / k,
                 }
             }
-            Layer::AvgPool2d(l) => {
-                let (h, w) = l.spatial();
-                let k = l.window();
-                TensorShape::Chw {
-                    c: l.channels(),
-                    h: h / k,
-                    w: w / k,
-                }
-            }
             Layer::Upsample2d(l) => {
                 let (h, w) = l.spatial();
                 let k = l.factor();
@@ -156,14 +132,10 @@ impl Layer {
                     w: w * k,
                 }
             }
-            Layer::Flatten(l) => {
-                let (c, h, w) = l.shape();
-                TensorShape::Flat(c * h * w)
-            }
         }
     }
 
-    /// Trainable parameter count (zero for pools/upsample/flatten).
+    /// Trainable parameter count (zero for pooling and upsampling).
     #[must_use]
     pub fn parameter_count(&self) -> usize {
         match self {
@@ -173,9 +145,9 @@ impl Layer {
         }
     }
 
-    /// Inference-only forward pass of this one layer for a batch (no
-    /// caching), on the calling thread, with the same bits as the
-    /// layer's step inside [`Network::predict`].
+    /// Inference-only forward pass of this one layer for a batch, on
+    /// the calling thread, with the same bits as the layer's step
+    /// inside [`Network::predict`].
     ///
     /// # Errors
     ///
@@ -185,52 +157,24 @@ impl Layer {
             Layer::Dense(l) => l.forward_inference(input),
             Layer::Conv2d(l) => l.forward_inference(input),
             Layer::MaxPool2d(l) => l.forward_inference(input),
-            Layer::AvgPool2d(l) => l.forward_inference(input),
             Layer::Upsample2d(l) => l.forward_inference(input),
-            Layer::Flatten(l) => l.forward_inference(input),
         }
     }
 
-    // The engine's per-layer contract. Every kind exposes a stateful
-    // path (whole-batch training), a side-effect-free pure path (the
-    // per-chunk data-parallel kernels), and the parameter hooks the
-    // optimizer protocol needs. Parameterless layers (pools, flatten,
-    // upsample) return empty gradient tensors from `backward_pure` and
-    // never invoke the `update_parameters` callback.
-
-    /// Stateful forward pass, caching whatever `backward` needs.
-    pub(crate) fn forward(&mut self, input: &Matrix) -> crate::Result<Matrix> {
-        match self {
-            Layer::Dense(l) => l.forward(input),
-            Layer::Conv2d(l) => l.forward(input),
-            Layer::MaxPool2d(l) => l.forward(input),
-            Layer::AvgPool2d(l) => l.forward(input),
-            Layer::Upsample2d(l) => l.forward(input),
-            Layer::Flatten(l) => l.forward_inference(input),
-        }
-    }
-
-    /// Stateful backward pass consuming the `forward` caches.
-    pub(crate) fn backward(&mut self, grad_output: &Matrix) -> crate::Result<Matrix> {
-        match self {
-            Layer::Dense(l) => l.backward(grad_output),
-            Layer::Conv2d(l) => l.backward(grad_output),
-            Layer::MaxPool2d(l) => l.backward(grad_output),
-            Layer::AvgPool2d(l) => l.backward(grad_output),
-            Layer::Upsample2d(l) => l.backward(grad_output),
-            Layer::Flatten(_) => Ok(grad_output.clone()),
-        }
-    }
+    // The engine's per-layer contract: the side-effect-free kernels a
+    // training step runs per row chunk, and the parameters the
+    // optimizer updates. Parameterless layers (pooling, upsampling)
+    // keep no pre-activation, return empty gradient tensors from
+    // `backward_pure`, and have no parameters.
 
     /// Side-effect-free forward returning `(pre_activation, output)`.
     pub(crate) fn forward_pure(&self, input: &Matrix) -> crate::Result<(Matrix, Matrix)> {
         match self {
             Layer::Dense(l) => l.forward_pure(input),
             Layer::Conv2d(l) => l.forward_pure(input),
-            Layer::MaxPool2d(l) => l.forward_pure(input),
-            Layer::AvgPool2d(l) => l.forward_pure(input),
-            Layer::Upsample2d(l) => l.forward_pure(input),
-            Layer::Flatten(l) => l.forward_pure(input),
+            Layer::MaxPool2d(_) | Layer::Upsample2d(_) => {
+                Ok((Matrix::zeros(0, 0), self.forward_inference(input)?))
+            }
         }
     }
 
@@ -246,28 +190,17 @@ impl Layer {
             Layer::Dense(l) => l.backward_pure(input, pre, grad_output),
             Layer::Conv2d(l) => l.backward_pure(input, pre, grad_output),
             Layer::MaxPool2d(l) => l.backward_pure(input, pre, grad_output),
-            Layer::AvgPool2d(l) => l.backward_pure(input, pre, grad_output),
             Layer::Upsample2d(l) => l.backward_pure(input, pre, grad_output),
-            Layer::Flatten(l) => l.backward_pure(input, pre, grad_output),
         }
     }
 
-    /// Installs externally reduced gradients.
-    pub(crate) fn set_gradients(&mut self, grad_weights: Matrix, grad_bias: Vec<f64>) {
+    /// The `(weights, bias)` an optimizer updates; `None` for
+    /// parameterless layers.
+    pub(crate) fn parameters_mut(&mut self) -> Option<(&mut [f64], &mut [f64])> {
         match self {
-            Layer::Dense(l) => l.set_gradients(grad_weights, grad_bias),
-            Layer::Conv2d(l) => l.set_gradients(grad_weights, grad_bias),
-            _ => {}
-        }
-    }
-
-    /// Applies `f` to each (parameters, gradients) tensor pair —
-    /// weights first, then bias; never called for parameterless layers.
-    pub(crate) fn update_parameters(&mut self, f: impl FnMut(&mut [f64], &[f64])) {
-        match self {
-            Layer::Dense(l) => l.update_parameters(f),
-            Layer::Conv2d(l) => l.update_parameters(f),
-            _ => {}
+            Layer::Dense(l) => Some(l.parameters_mut()),
+            Layer::Conv2d(l) => Some(l.parameters_mut()),
+            Layer::MaxPool2d(_) | Layer::Upsample2d(_) => None,
         }
     }
 }
@@ -306,12 +239,10 @@ pub struct Network {
 
 impl Network {
     /// Assembles a network from parts, validating that every layer's
-    /// input shape matches its predecessor's output shape.
-    ///
-    /// Pure shape reinterpretation is allowed where widths agree: a
-    /// `Flat(n)` tensor feeds a spatial layer whose `c·h·w == n` and a
-    /// `Chw` tensor feeds a dense layer of matching width, because rows
-    /// are the storage for both.
+    /// input shape equals its predecessor's output shape (the first
+    /// layer's, `input_shape`). Dense layers take and give `Flat`
+    /// rows and spatial layers `Chw` maps, so a network is all-dense or
+    /// all-spatial.
     ///
     /// # Errors
     ///
@@ -326,7 +257,7 @@ impl Network {
         let mut shape = input_shape;
         for (i, layer) in layers.iter().enumerate() {
             let expected = layer.input_shape();
-            if expected.len() != shape.len() {
+            if expected != shape {
                 return Err(NnError::ShapeMismatch {
                     detail: format!("layer {i} expects input {expected} but receives {shape}"),
                 });
@@ -370,8 +301,7 @@ impl Network {
         self.layers.iter().map(Layer::parameter_count).sum()
     }
 
-    /// Inference on a batch (`batch × input_shape.len()`), without
-    /// touching the training caches.
+    /// Inference on a batch (`batch × input_shape.len()`).
     ///
     /// Large batches (≥ 512 rows) are evaluated as independent row
     /// chunks, in parallel when [`ppdl_solver::parallel`] is configured
@@ -394,7 +324,10 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors and optimizer errors.
+    /// Returns [`NnError::ShapeMismatch`] when `x` and `y` have
+    /// different row counts, [`NnError::EmptyDataset`] for a batch of
+    /// no rows, and propagates the layers' shape errors and optimizer
+    /// errors. A refused batch leaves the weights unchanged.
     pub fn train_batch<O: Optimizer>(
         &mut self,
         x: &Matrix,
@@ -410,18 +343,17 @@ impl Network {
     /// the paper's eq. 2. The returned loss excludes the penalty;
     /// parameterless layers contribute no optimizer groups.
     ///
-    /// Batches of at least 512 rows run the data-parallel path: the
-    /// batch splits into fixed 256-row chunks, each chunk's forward and
-    /// backward pass runs through the side-effect-free layer kernels
-    /// (concurrently when [`ppdl_solver::parallel`] allows), and chunk
-    /// gradients are summed in ascending chunk order. Both the split
-    /// and the reduction order are functions of the batch size alone,
-    /// so the resulting weights are bitwise identical at every thread
-    /// count.
+    /// Every step runs the side-effect-free layer kernels over fixed
+    /// row chunks: a batch below 512 rows is one chunk; a larger batch
+    /// splits into 256-row chunks, run concurrently when
+    /// [`ppdl_solver::parallel`] allows, whose gradients are summed in
+    /// ascending chunk order. Both the split and the reduction order
+    /// are functions of the batch size alone, so the resulting weights
+    /// are bitwise identical at every thread count.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors, optimizer errors, and
+    /// The errors of [`train_batch`](Self::train_batch), and
     /// [`NnError::InvalidConfig`] for a negative or non-finite λ.
     pub fn train_batch_regularized<O: Optimizer>(
         &mut self,
@@ -435,8 +367,9 @@ impl Network {
     }
 }
 
-/// Builder for [`Network`], tracking the flowing shape so layer
-/// geometry never has to be repeated.
+/// Builder for an all-spatial [`Network`] over `Chw` maps, tracking
+/// the flowing shape so layer geometry never has to be repeated.
+/// (All-dense networks come from [`MlpBuilder`](crate::MlpBuilder).)
 ///
 /// # Example
 ///
@@ -498,39 +431,10 @@ impl NetworkBuilder {
         self
     }
 
-    fn chw(&self, what: &str) -> Option<(usize, usize, usize)> {
+    fn chw(&self) -> Option<(usize, usize, usize)> {
         match self.shape {
             TensorShape::Chw { c, h, w } => Some((c, h, w)),
-            TensorShape::Flat(n) => {
-                let _ = (what, n);
-                None
-            }
-        }
-    }
-
-    /// Appends a dense layer (requires a flat tensor — use
-    /// [`flatten`](Self::flatten) after spatial layers).
-    #[must_use]
-    pub fn dense(mut self, width: usize, activation: Activation) -> Self {
-        let shape = self.shape;
-        let TensorShape::Flat(input_dim) = shape else {
-            return self.fail(format!(
-                "dense layer requires a flat input, found {shape}; insert flatten()"
-            ));
-        };
-        if self.error.is_some() {
-            return self;
-        }
-        // Derive a per-layer seed so inserting a layer doesn't shift
-        // every later layer's weights.
-        let li = self.layers.len() as u64;
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(li.wrapping_mul(0x9e37_79b9)));
-        match DenseLayer::new(input_dim, width, activation, &mut rng) {
-            Ok(l) => self.push(Layer::Dense(l)),
-            Err(e) => {
-                self.error = Some(e);
-                self
-            }
+            TensorShape::Flat(_) => None,
         }
     }
 
@@ -539,7 +443,7 @@ impl NetworkBuilder {
     #[must_use]
     pub fn conv2d(mut self, out_c: usize, k: usize, activation: Activation) -> Self {
         let shape = self.shape;
-        let Some((c, h, w)) = self.chw("conv2d") else {
+        let Some((c, h, w)) = self.chw() else {
             return self.fail(format!("conv2d requires a chw input, found {shape}"));
         };
         if self.error.is_some() {
@@ -560,7 +464,7 @@ impl NetworkBuilder {
     #[must_use]
     pub fn max_pool(mut self, k: usize) -> Self {
         let shape = self.shape;
-        let Some((c, h, w)) = self.chw("max_pool") else {
+        let Some((c, h, w)) = self.chw() else {
             return self.fail(format!("max_pool requires a chw input, found {shape}"));
         };
         match MaxPool2d::new(c, h, w, k) {
@@ -574,52 +478,15 @@ impl NetworkBuilder {
         }
     }
 
-    /// Appends an average-pooling layer with window `k`.
-    #[must_use]
-    pub fn avg_pool(mut self, k: usize) -> Self {
-        let shape = self.shape;
-        let Some((c, h, w)) = self.chw("avg_pool") else {
-            return self.fail(format!("avg_pool requires a chw input, found {shape}"));
-        };
-        match AvgPool2d::new(c, h, w, k) {
-            Ok(l) => self.push(Layer::AvgPool2d(l)),
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                self
-            }
-        }
-    }
-
     /// Appends a nearest-neighbour upsampling layer with factor `k`.
     #[must_use]
     pub fn upsample(mut self, k: usize) -> Self {
         let shape = self.shape;
-        let Some((c, h, w)) = self.chw("upsample") else {
+        let Some((c, h, w)) = self.chw() else {
             return self.fail(format!("upsample requires a chw input, found {shape}"));
         };
         match Upsample2d::new(c, h, w, k) {
             Ok(l) => self.push(Layer::Upsample2d(l)),
-            Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-                self
-            }
-        }
-    }
-
-    /// Appends a flatten marker, switching the flowing shape from
-    /// `Chw` to `Flat` so dense layers can follow.
-    #[must_use]
-    pub fn flatten(mut self) -> Self {
-        let shape = self.shape;
-        let Some((c, h, w)) = self.chw("flatten") else {
-            return self.fail(format!("flatten requires a chw input, found {shape}"));
-        };
-        match Flatten::new(c, h, w) {
-            Ok(l) => self.push(Layer::Flatten(l)),
             Err(e) => {
                 if self.error.is_none() {
                     self.error = Some(e);
@@ -654,20 +521,33 @@ mod tests {
 
     #[test]
     fn shape_chain_validated() {
-        // Dense after Chw without flatten: widths must match to pass.
-        let err = NetworkBuilder::new(chw(1, 4, 4))
+        let conv = NetworkBuilder::new(chw(1, 4, 4))
             .conv2d(2, 3, Activation::Relu)
-            .dense(4, Activation::Identity)
-            .build();
-        assert!(err.is_err());
-        let ok = NetworkBuilder::new(chw(1, 4, 4))
-            .conv2d(2, 3, Activation::Relu)
-            .flatten()
-            .dense(4, Activation::Identity)
+            .max_pool(2)
             .build()
             .unwrap();
-        assert_eq!(ok.output_shape(), TensorShape::Flat(4));
-        assert_eq!(ok.layer_count(), 3);
+        assert_eq!(conv.output_shape(), chw(2, 2, 2));
+        assert_eq!(conv.layer_count(), 2);
+        // Shapes must match exactly, not just in width: a dense layer
+        // cannot read a map, nor a conv a flat row of the same length.
+        let mut rng = StdRng::seed_from_u64(1);
+        let dense = DenseLayer::new(8, 4, Activation::Identity, &mut rng).unwrap();
+        let mut mixed = conv.layers().to_vec();
+        mixed.push(Layer::Dense(dense));
+        assert!(matches!(
+            Network::from_parts(chw(1, 4, 4), mixed),
+            Err(NnError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            Network::from_parts(TensorShape::Flat(16), conv.layers().to_vec()),
+            Err(NnError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            NetworkBuilder::new(TensorShape::Flat(16))
+                .conv2d(2, 3, Activation::Relu)
+                .build(),
+            Err(NnError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
@@ -697,20 +577,31 @@ mod tests {
         assert!(out.all_finite());
     }
 
+    /// A small encoder-decoder over `c×4×4` maps.
+    fn encoder_decoder(c: usize, seed: u64) -> Network {
+        NetworkBuilder::new(chw(c, 4, 4))
+            .conv2d(3, 3, Activation::Tanh)
+            .max_pool(2)
+            .upsample(2)
+            .conv2d(c, 3, Activation::Identity)
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    /// Each map's target: the map minus its own mean.
+    fn centred(x: &Matrix) -> Matrix {
+        Matrix::from_fn(x.rows(), x.cols(), |r, i| {
+            let row = x.row(r);
+            row[i] - row.iter().sum::<f64>() / row.len() as f64
+        })
+    }
+
     #[test]
     fn network_training_reduces_loss() {
-        // Learn to predict the per-map mean current via conv + pool +
-        // dense readout.
-        let mut net = NetworkBuilder::new(chw(1, 4, 4))
-            .conv2d(3, 3, Activation::Tanh)
-            .avg_pool(2)
-            .flatten()
-            .dense(1, Activation::Identity)
-            .seed(5)
-            .build()
-            .unwrap();
+        let mut net = encoder_decoder(1, 5);
         let x = Matrix::from_fn(64, 16, |r, i| ((r * 5 + i * 3) % 11) as f64 / 11.0);
-        let y = Matrix::from_fn(64, 1, |r, _| x.row(r).iter().sum::<f64>() / 16.0);
+        let y = centred(&x);
         let mut opt = Adam::new(5e-3).unwrap();
         let mut first = 0.0;
         let mut last = 0.0;
@@ -729,28 +620,13 @@ mod tests {
 
     #[test]
     fn conv_training_is_bitwise_deterministic_across_thread_counts() {
-        // 640 samples of 2x4x4 maps: above the 512-row parallel
-        // threshold, so training runs the chunked path. Weights and
-        // losses must be bitwise identical at 1 vs 4 threads.
+        // 640 samples of 2x4x4 maps: above the 512-row threshold, so
+        // training runs three 256-row chunks. Weights and losses must
+        // be bitwise identical at 1 vs 4 threads.
         let run = || -> (Vec<f64>, Vec<f64>) {
-            let mut net = NetworkBuilder::new(chw(2, 4, 4))
-                .conv2d(3, 3, Activation::Tanh)
-                .max_pool(2)
-                .flatten()
-                .dense(2, Activation::Identity)
-                .seed(9)
-                .build()
-                .unwrap();
+            let mut net = encoder_decoder(2, 9);
             let x = Matrix::from_fn(640, 32, |r, i| ((r * 13 + i * 7) % 17) as f64 / 17.0 - 0.4);
-            let y = Matrix::from_fn(640, 2, |r, c| {
-                let row = x.row(r);
-                let s: f64 = row.iter().sum();
-                if c == 0 {
-                    s / 32.0
-                } else {
-                    row[0] - row[31]
-                }
-            });
+            let y = centred(&x);
             let mut opt = Adam::new(1e-2).unwrap();
             let mut losses = Vec::new();
             for _ in 0..3 {
@@ -758,16 +634,9 @@ mod tests {
             }
             let mut weights = Vec::new();
             for layer in net.layers() {
-                match layer {
-                    Layer::Dense(l) => {
-                        weights.extend_from_slice(l.weights().as_slice());
-                        weights.extend_from_slice(l.bias());
-                    }
-                    Layer::Conv2d(l) => {
-                        weights.extend_from_slice(l.weights().as_slice());
-                        weights.extend_from_slice(l.bias());
-                    }
-                    _ => {}
+                if let Layer::Conv2d(l) = layer {
+                    weights.extend_from_slice(l.weights().as_slice());
+                    weights.extend_from_slice(l.bias());
                 }
             }
             (losses, weights)
@@ -781,16 +650,48 @@ mod tests {
         assert_eq!(w1, w4, "weights must be bitwise identical");
     }
 
+    /// One training step on `x_rows` inputs and `y_rows` targets.
+    fn step(net: &mut Network, x_rows: usize, y_rows: usize) -> crate::Result<f64> {
+        let x = Matrix::from_fn(x_rows, net.input_shape().len(), |r, c| {
+            ((r * 5 + c * 3) % 7) as f64 / 7.0
+        });
+        let y = Matrix::zeros(y_rows, net.output_shape().len());
+        net.train_batch(&x, &y, Loss::Mse, &mut Adam::new(1e-3).unwrap())
+    }
+
+    #[test]
+    fn degenerate_batches_are_typed_errors_that_change_nothing() {
+        // Both model families, on both sides of the 512-row chunking
+        // threshold.
+        let mlp = || {
+            crate::MlpBuilder::new(3)
+                .hidden(4, Activation::Tanh)
+                .output(1)
+                .seed(1)
+                .build()
+                .unwrap()
+        };
+        for build in [mlp, || encoder_decoder(1, 2)] {
+            let mut net = build();
+            let before = net.to_text();
+            for rows in [10, 600] {
+                for (x_rows, y_rows) in [(rows, rows - 1), (rows - 1, rows), (rows, 0), (0, rows)] {
+                    let got = step(&mut net, x_rows, y_rows);
+                    assert!(
+                        matches!(got, Err(NnError::ShapeMismatch { .. })),
+                        "x {x_rows} rows, y {y_rows} rows: {got:?}"
+                    );
+                }
+            }
+            let got = step(&mut net, 0, 0);
+            assert!(matches!(got, Err(NnError::EmptyDataset)), "{got:?}");
+            assert_eq!(net.to_text(), before, "a refused batch moved the weights");
+        }
+    }
+
     #[test]
     fn chunked_predict_matches_sequential_for_spatial_net() {
-        let net = NetworkBuilder::new(chw(1, 4, 4))
-            .conv2d(2, 3, Activation::Relu)
-            .avg_pool(2)
-            .flatten()
-            .dense(3, Activation::Identity)
-            .seed(2)
-            .build()
-            .unwrap();
+        let net = encoder_decoder(1, 2);
         let x = Matrix::from_fn(600, 16, |r, i| ((r * 3 + i) % 23) as f64 * 0.05);
         let chunked = net.predict(&x).unwrap();
         // Row-by-row sequential evaluation must agree bitwise.

@@ -14,12 +14,13 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     ///
-    /// Batches of 512 rows or more take the model's data-parallel path
-    /// (fixed 256-row chunks, reduced in chunk order), which uses the
-    /// thread pool configured via `ppdl_solver::parallel` /
-    /// `PPDL_THREADS`. Results are bitwise identical at any thread
-    /// count, so raising the batch size trades gradient freshness for
-    /// wall-clock speed without changing reproducibility.
+    /// Batches of 512 rows or more split into fixed 256-row chunks,
+    /// run concurrently on the thread pool configured via
+    /// `ppdl_solver::parallel` / `PPDL_THREADS` and reduced in chunk
+    /// order; smaller ones are one chunk. Results are bitwise
+    /// identical at any thread count, so raising the batch size trades
+    /// gradient freshness for wall-clock speed without changing
+    /// reproducibility.
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f64,

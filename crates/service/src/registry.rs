@@ -545,28 +545,30 @@ mod tests {
         use ppdl_core::BackendKind;
         let registry = Arc::new(ModelRegistry::new(ServiceConfig::default()));
         registry.install("mlp", bundle(3)).unwrap();
-        let cnn = TrainedBundle::train(
+        let encdec = TrainedBundle::train(
             IbmPgPreset::Ibmpg1,
             0.01,
             3,
             DlFlowConfig::builder()
                 .fast()
-                .backend(BackendKind::Cnn)
+                .backend(BackendKind::EncoderDecoder)
                 .build(),
             None,
         )
         .unwrap();
-        assert_eq!(cnn.backend(), BackendKind::Cnn);
-        registry.install("cnn", cnn).unwrap();
+        assert_eq!(encdec.backend(), BackendKind::EncoderDecoder);
+        registry.install("encdec", encdec).unwrap();
 
         let mut session = registry.session();
-        session.enqueue(Some("cnn"), request("via-cnn", 1)).unwrap();
+        session
+            .enqueue(Some("encdec"), request("via-encdec", 1))
+            .unwrap();
         session.enqueue(Some("mlp"), request("via-mlp", 1)).unwrap();
         let replies = session.flush();
         assert_eq!(replies.len(), 2);
         // Each request runs on the backend it was routed to, and the
         // two surrogates genuinely differ.
-        for (reply, name) in replies.iter().zip(["cnn", "mlp"]) {
+        for (reply, name) in replies.iter().zip(["encdec", "mlp"]) {
             let core = registry.get(name).unwrap();
             let direct = predict(
                 &core.bundle().predictor,
@@ -588,8 +590,8 @@ mod tests {
         let bundles = Json::parse(&registry.bundles_json()).unwrap();
         let map = bundles.get("bundles").unwrap();
         assert_eq!(
-            map.get("cnn").unwrap().get("backend").unwrap().as_str(),
-            Some("cnn")
+            map.get("encdec").unwrap().get("backend").unwrap().as_str(),
+            Some("encdec")
         );
         assert_eq!(
             map.get("mlp").unwrap().get("backend").unwrap().as_str(),

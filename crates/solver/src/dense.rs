@@ -161,6 +161,13 @@ impl DenseMatrix {
                 l[i * n + j] = s / dj;
             }
         }
+        // Mirror `L` into the upper triangle: `Lᵀ`'s rows, which the
+        // backward substitution reads.
+        for i in 0..n {
+            for k in (i + 1)..n {
+                l[i * n + k] = l[k * n + i];
+            }
+        }
         Ok(DenseCholesky { n, l })
     }
 }
@@ -172,7 +179,9 @@ impl DenseMatrix {
 #[derive(Debug, Clone)]
 pub struct DenseCholesky {
     n: usize,
-    /// Lower-triangular factor, row-major, including the diagonal.
+    /// The factor `L`, row-major, with `Lᵀ` in the upper triangle:
+    /// entry `(i, k)` is `L[i][k]` for `k ≤ i` and `L[k][i]` for
+    /// `k > i`, so both substitutions walk rows.
     l: Vec<f64>,
 }
 
@@ -183,34 +192,51 @@ impl DenseCholesky {
         self.n
     }
 
-    /// Solves `A x = b`.
+    /// Solves `A x = b` into a new vector; see
+    /// [`solve_in_place`](Self::solve_in_place).
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> crate::Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the
+    /// solution on return. Each entry subtracts its terms in ascending
+    /// column order, forward then backward, without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::DimensionMismatch`] if `x.len() != dim()`.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> crate::Result<()> {
         let n = self.n;
-        if b.len() != n {
+        if x.len() != n {
             return Err(SolverError::DimensionMismatch {
-                detail: format!("cholesky solve: dim {n}, b has length {}", b.len()),
+                detail: format!("cholesky solve: dim {n}, b has length {}", x.len()),
             });
         }
-        // Forward: L y = b.
-        let mut y = b.to_vec();
+        // Forward: L y = b, reading row i of L.
         for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[i * n + k] * y[k];
+            let row = &self.l[i * n..(i + 1) * n];
+            let mut s = x[i];
+            for (lik, xk) in row[..i].iter().zip(&x[..i]) {
+                s -= lik * xk;
             }
-            y[i] /= self.l[i * n + i];
+            x[i] = s / row[i];
         }
-        // Backward: Lᵀ x = y.
+        // Backward: Lᵀ x = y, reading row i of Lᵀ.
         for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                y[i] -= self.l[k * n + i] * y[k];
+            let row = &self.l[i * n..(i + 1) * n];
+            let mut s = x[i];
+            for (lki, xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                s -= lki * xk;
             }
-            y[i] /= self.l[i * n + i];
+            x[i] = s / row[i];
         }
-        Ok(y)
+        Ok(())
     }
 }
 
@@ -259,6 +285,53 @@ mod tests {
         let ax = a.mul_vec(&x).unwrap();
         for (axi, bi) in ax.iter().zip(&b) {
             assert!((axi - bi).abs() < 1e-9, "residual too large");
+        }
+    }
+
+    /// Reference: the same substitution order, reading only the lower
+    /// triangle (the backward pass walks `L` by column).
+    fn column_walk_solve(chol: &DenseCholesky, b: &[f64]) -> Vec<f64> {
+        let (n, l) = (chol.n, &chol.l);
+        let mut y = b.to_vec();
+        for i in 0..n {
+            for k in 0..i {
+                y[i] -= l[i * n + k] * y[k];
+            }
+            y[i] /= l[i * n + i];
+        }
+        for i in (0..n).rev() {
+            for k in (i + 1)..n {
+                y[i] -= l[k * n + i] * y[k];
+            }
+            y[i] /= l[i * n + i];
+        }
+        y
+    }
+
+    #[test]
+    fn in_place_solve_matches_the_column_walk_bit_for_bit() {
+        for n in [1usize, 2, 7, 64, 150] {
+            // A diagonally dominant SPD matrix with irregular entries.
+            let mut a = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..i {
+                    let v = -(((i * 31 + j * 17) % 13) as f64 + 0.37) / (n as f64 * 7.0);
+                    a.set(i, j, v);
+                    a.set(j, i, v);
+                }
+                a.set(i, i, 2.0 + ((i * 7) % 5) as f64 * 0.3);
+            }
+            let chol = a.cholesky().unwrap();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 9) as f64 * 0.21 - 0.8).collect();
+            let mut x = b.clone();
+            chol.solve_in_place(&mut x).unwrap();
+            let reference = column_walk_solve(&chol, &b);
+            assert_eq!(
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+            assert_eq!(chol.solve(&b).unwrap(), x);
         }
     }
 

@@ -143,7 +143,8 @@ impl Hierarchy {
             b[k] += v;
         }
         if l + 1 == self.levels.len() {
-            return self.bottom.solve(&b);
+            self.bottom.solve_in_place(&mut b)?;
+            return Ok(b);
         }
         // Forward Gauss–Seidel from zero: the entries above the diagonal
         // multiply zeros, so only the lower ones are summed.

@@ -9,7 +9,10 @@ use crate::{CsrMatrix, SolverError, SparseCholesky};
 pub enum PrecondKind {
     /// No preconditioning (`M = I`): plain CG.
     Identity,
-    /// Diagonal scaling (`M = diag(A)`) — cheap, the default.
+    /// Diagonal scaling (`M = diag(A)`) — cheap; the default of
+    /// `CgOptions::default()` only. `ppdl-analysis`'s
+    /// `AnalysisOptions::default()`, which every conventional IR-drop
+    /// solve inherits, picks [`Multilevel`](Self::Multilevel).
     #[default]
     Jacobi,
     /// Block-diagonal with per-block dense Cholesky over contiguous
@@ -282,8 +285,8 @@ impl BlockJacobiPreconditioner {
         let mut lo = 0;
         for block in &self.blocks {
             let hi = lo + block.dim();
-            let solved = block.solve(&r[lo..hi])?;
-            z[lo..hi].copy_from_slice(&solved);
+            z[lo..hi].copy_from_slice(&r[lo..hi]);
+            block.solve_in_place(&mut z[lo..hi])?;
             lo = hi;
         }
         Ok(())

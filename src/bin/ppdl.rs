@@ -5,8 +5,8 @@
 //! ppdl analyze <deck.spice> [--map map.csv] [--resolution 100] [--precond ic0]
 //! ppdl flow --preset ibmpg2 --scale 0.01 [--fast] [--gamma 0.1] [--model model.ppdl]
 //!           [--precond ic0]
-//! ppdl train --preset ibmpg2 --scale 0.006 --out model.bundle [--fast] [--backend mlp|cnn|encdec]
-//! ppdl synth --preset ibmpg2 [--scale 0.01] [--seed 7] [--fast] [--backend mlp|cnn|encdec]
+//! ppdl train --preset ibmpg2 --scale 0.006 --out model.bundle [--fast] [--backend mlp|encdec]
+//! ppdl synth --preset ibmpg2 [--scale 0.01] [--seed 7] [--fast] [--backend mlp|encdec]
 //!            [--precond ic0] [--budget 1200] [--bundle model.bundle] [--out widths.csv]
 //! ppdl serve --bundle model.bundle [--queue 256] [--batch 64] [--cache 1024] [--telemetry]
 //! ppdl serve --listen 127.0.0.1:7433 --bundle a.bundle --bundle b.bundle [--bundle-dir models/]
@@ -46,10 +46,10 @@ fn main() -> ExitCode {
         Some("synth") => cmd_synth(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
+        Some(other) => Err(format!("unknown subcommand '{other}'\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -58,6 +58,16 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The `--help` text, naming the default preconditioner of the
+/// conventional solves as `AnalysisOptions::default()` sets it, so the
+/// two cannot drift apart.
+fn usage() -> String {
+    USAGE.replace(
+        "{precond}",
+        AnalysisOptions::default().preconditioner.name(),
+    )
 }
 
 const USAGE: &str = "\
@@ -69,7 +79,7 @@ USAGE:
   ppdl flow --preset <name> [--scale <f>] [--seed <n>] [--fast] [--gamma <f>] [--model <out.ppdl>]
             [--precond <kind>]
   ppdl train --preset <name> [--scale <f>] [--seed <n>] [--fast]
-             [--backend mlp|cnn|encdec] --out <model.bundle>
+             [--backend mlp|encdec] --out <model.bundle>
   ppdl synth --preset <name> [--scale <f>] [--seed <n>] [--fast] [--backend <kind>]
              [--precond <kind>] [--budget <n>] [--bundle <model.bundle>] [--out <widths.csv>]
   ppdl serve (--bundle <f>)* [--bundle-dir <dir>] [--queue <n>] [--batch <n>] [--cache <n>]
@@ -79,7 +89,7 @@ USAGE:
 Every subcommand also accepts --threads <n> (pin the thread count before
 any parallel work runs; overrides PPDL_THREADS). analyze, flow and synth
 accept --precond <kind> to pick the preconditioner of the conventional
-IR-drop solves (default ic0; an unknown kind lists the accepted ones).
+IR-drop solves (default {precond}; an unknown kind lists the accepted ones).
 
 synth runs predictor-in-the-loop synthesis: it trains (or loads, with
 --bundle) a width model, anneals one width template per grid region

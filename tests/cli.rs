@@ -16,6 +16,32 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("USAGE"));
     assert!(text.contains("generate"));
+    // The named --precond default is the one the solves use.
+    let default = powerplanningdl::analysis::AnalysisOptions::default()
+        .preconditioner
+        .name();
+    assert!(text.contains(&format!("(default {default};")), "{text}");
+}
+
+#[test]
+fn removed_cnn_backend_is_refused() {
+    let out_path = std::env::temp_dir().join(format!("ppdl_cli_cnn_{}.bundle", std::process::id()));
+    let out = ppdl(&[
+        "train",
+        "--preset",
+        "ibmpg1",
+        "--scale",
+        "0.005",
+        "--fast",
+        "--backend",
+        "cnn",
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cnn") && err.contains("mlp|encdec"), "{err}");
+    assert!(!out_path.exists(), "a refused backend must write nothing");
 }
 
 #[test]
